@@ -67,6 +67,7 @@ from .relations import (
     metric_from_name,
     relation_bounds,
     relation_from_pairs,
+    resolve_volume_method,
     sup_ball_volume,
     table_metric,
 )

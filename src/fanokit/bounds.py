@@ -23,7 +23,11 @@ from .distributions import (
     product_of_marginals,
 )
 from .divergences import (
+    KL_ALPHA_BAND,
+    _check_alpha,
+    _check_prob,
     _ln_base,
+    _scale,
     binary_entropy,
     binary_renyi_entropy,
     conditional_entropy,
@@ -36,14 +40,13 @@ from .errors import (
     DegenerateDenominator,
     FanoError,
     InconsistentBounds,
-    NegativeAlpha,
     NoFeasiblePoint,
     NonUniformPrior,
     NumericalInstability,
-    OutOfRangeProbability,
     RangeMismatch,
     ZeroVolumeDenominator,
 )
+from .jsonio import format_cell, format_csv
 from .relations import (
     ContinuousDomain,
     DistanceRelation,
@@ -51,10 +54,10 @@ from .relations import (
     RelationBounds,
     ball_counts,
     relation_bounds,
+    resolve_volume_method,
     sup_ball_volume,
 )
 
-ALPHA_ONE_BAND = 1e-9
 SOLVE_GRID_POINTS = 1024
 UNIFORM_TOLERANCE = 1e-12
 
@@ -119,36 +122,18 @@ CSV_COLUMNS = ("instance-id", "mode", "alpha", "p_min", "p_max", "divergence",
                "bound_value", "observed", "slack", "feasible_sup")
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        text = "%.17g" % value
-        return text
-    return str(value)
+def reports_to_rows(reports) -> list:
+    """CSV_COLUMNS, then one row of raw values per report."""
+    return [CSV_COLUMNS] + [
+        (r.instance_id, r.mode, r.alpha, r.p_min, r.p_max, r.divergence,
+         r.bound_value, r.observed, r.slack, r.feasible_sup) for r in reports]
 
 
 def reports_to_csv(reports) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for r in reports:
-        lines.append(",".join(_csv_cell(v) for v in (
-            r.instance_id, r.mode, r.alpha, r.p_min, r.p_max, r.divergence,
-            r.bound_value, r.observed, r.slack, r.feasible_sup)))
-    return "\n".join(lines) + "\n"
+    return format_csv(reports_to_rows(reports))
 
 
 # -- shared validation ------------------------------------------------------
-
-def _check_prob(p, name) -> float:
-    p = float(p)
-    if math.isnan(p) or p < 0.0 or p > 1.0:
-        raise OutOfRangeProbability(f"{name}: must lie in [0, 1], got {p!r}")
-    return p
-
 
 def _check_divergence(d) -> float:
     d = float(d)
@@ -179,14 +164,12 @@ def _check_window(p_min, p_max) -> tuple[float, float]:
 
 def _check_order(alpha) -> float:
     """Order for the order-alpha diffusion bound: 0 < alpha < inf, alpha != 1."""
-    a = float(alpha)
-    if math.isnan(a) or a < 0:
-        raise NegativeAlpha(f"alpha: order must be >= 0, got {alpha!r}")
+    a = _check_alpha(alpha)
     if a == 0.0 or math.isinf(a):
         raise FanoError(
             f"alpha: the order-alpha diffusion bound needs 0 < alpha < inf, got {alpha!r}"
         )
-    if abs(a - 1.0) < ALPHA_ONE_BAND:
+    if abs(a - 1.0) < KL_ALPHA_BAND:
         raise AlphaIsOne(
             "alpha: within 1e-9 of 1; use the KL form (check_kl_diffusion)"
         )
@@ -332,8 +315,7 @@ def _bisect_boundary(g, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def solve_diffusion(inputs: BoundInputs, tolerance: float = 1e-10,
-                    grid_points: int = SOLVE_GRID_POINTS) -> BoundReport:
+def solve_diffusion(inputs: BoundInputs, tolerance: float = 1e-10) -> BoundReport:
     """Largest p consistent with the self-referential bound p <= RHS(p).
 
     Scans a uniform grid, refines every sign change by bisection, and returns
@@ -379,14 +361,14 @@ def solve_diffusion(inputs: BoundInputs, tolerance: float = 1e-10,
                 num *= p ** alpha + (1.0 - p) ** alpha
             return sign * (num - (p ** alpha) * den)
 
-    step = 1.0 / (grid_points - 1)
-    values = [g(i * step) for i in range(grid_points)]
+    step = 1.0 / (SOLVE_GRID_POINTS - 1)
+    values = [g(i * step) for i in range(SOLVE_GRID_POINTS)]
     feasible = [v >= 0.0 for v in values]
     if feasible[-1]:
         sup = 1.0
     else:
         sup = None
-        for i in range(grid_points - 2, -1, -1):
+        for i in range(SOLVE_GRID_POINTS - 2, -1, -1):
             if feasible[i]:
                 sup = _bisect_boundary(g, i * step, (i + 1) * step, tolerance)
                 break
@@ -471,9 +453,7 @@ def entropy_version_bound(joint: JointDistribution, rel: Relation,
     h_x = entropy(joint.row_marginal())
     rhs = _entropy_rhs_nats(h_x, p_not, bounds.p_min, bounds.p_max)
     observed = conditional_entropy(joint)
-    ln_b = _ln_base(base)
-    scale = (lambda v: v) if base == math.e else (lambda v: v / ln_b)
-    rhs_b, obs_b = scale(rhs), scale(observed)
+    rhs_b, obs_b = _scale(rhs, base), _scale(observed, base)
     return BoundReport(
         mode="check", bound_value=rhs_b, observed=obs_b, slack=rhs_b - obs_b,
         solver_tolerance=tolerance,
@@ -486,8 +466,7 @@ def independent_samples_bound(prior: FiniteDistribution, channel: Channel,
                               n: int, estimator, rel: Relation,
                               bounds: RelationBounds | None = None,
                               base: float = math.e,
-                              tolerance: float = 1e-9,
-                              cap: int | None = None) -> BoundReport:
+                              tolerance: float = 1e-9) -> BoundReport:
     """Bound for n conditionally independent channel uses.
 
     The divergence budget is n times the single-use mutual information, with
@@ -499,7 +478,7 @@ def independent_samples_bound(prior: FiniteDistribution, channel: Channel,
 
     exp = Experiment(prior=prior, channel=channel, n_samples=n,
                      estimator=estimator, relation=rel, base=math.e)
-    summary = enumerate_chain(exp) if cap is None else enumerate_chain(exp, cap=cap)
+    summary = enumerate_chain(exp)
     i1 = summary.mi_y1
     beta = compute_beta(channel)
     if summary.mi_xy > n * i1 + tolerance:
@@ -527,13 +506,12 @@ def independent_samples_bound(prior: FiniteDistribution, channel: Channel,
         BoundInputs(divergence=n * i1, alpha="kl", p_min=p_min, p_max=p_max))
     notes = ("bounds the acceptable-reconstruction probability "
              "(complement form flagged inconsistent upstream); "
-             "worst-case-divergence bound value %s" % _csv_cell(rhs_beta))
-    ln_b = _ln_base(base)
+             "worst-case-divergence bound value %s" % format_cell(rhs_beta))
     return BoundReport(
         mode="check", bound_value=rhs_i, observed=p_rel, slack=rhs_i - p_rel,
         feasible_sup=solve.feasible_sup,
         solver_tolerance=tolerance, notes=notes,
-        alpha="kl", p_min=p_min, p_max=p_max, divergence=n * i1 / ln_b,
+        alpha="kl", p_min=p_min, p_max=p_max, divergence=_scale(n * i1, base),
     )
 
 
@@ -590,13 +568,11 @@ def distance_fano_bound(joint: JointDistribution, rho, t: float,
             "internal: distance route %.17g disagrees with entropy route %.17g"
             % (lhs, other_route)
         )
-    ln_b = _ln_base(base)
-    scale = (lambda v: v) if base == math.e else (lambda v: v / ln_b)
     notes = ("entropy-version value %.17g plus uniformity slack %.17g; "
              "ball counts (%d, %d)" % (entropy_route, uniform_slack, n_min, n_max))
+    lhs_b, obs_b = _scale(lhs, base), _scale(observed, base)
     return BoundReport(
-        mode="check", bound_value=scale(lhs), observed=scale(observed),
-        slack=scale(lhs) - scale(observed),
+        mode="check", bound_value=lhs_b, observed=obs_b, slack=lhs_b - obs_b,
         solver_tolerance=tolerance, notes=notes,
         alpha="entropy", p_min=n_min / m, p_max=n_max / m,
     )
@@ -680,7 +656,8 @@ def continuous_fano_bound(mi: float, domain: ContinuousDomain,
     if variant not in ("log2", "entropy"):
         raise FanoError(f"variant: expected 'log2' or 'entropy', got {variant!r}")
     vol_domain = domain.volume
-    ball, ball_err = sup_ball_volume(domain, method=volume_method,
+    method = resolve_volume_method(domain, volume_method)
+    ball, ball_err = sup_ball_volume(domain, method=method,
                                      samples=samples, seed=seed,
                                      resolution=resolution)
     if ball <= 0.0:
@@ -708,7 +685,7 @@ def continuous_fano_bound(mi: float, domain: ContinuousDomain,
                 % (threshold(q, hi_vol), threshold(q, lo_vol)))
 
     base_note = ("variant %s; ball volume %.17g +/- %.17g (%s)"
-                 % (variant, ball, ball_err, volume_method))
+                 % (variant, ball, ball_err, method))
     if mode == "check":
         if p_t is None:
             raise FanoError("p_t: check mode requires the observed exceedance probability")

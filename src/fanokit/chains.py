@@ -10,7 +10,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Any
 
@@ -21,6 +20,8 @@ from .distributions import (
     Channel,
     FiniteDistribution,
     JointDistribution,
+    _kron_rows,
+    _label_from_json,
     event_probability,
     joint_from_prior_and_channel,
 )
@@ -28,6 +29,7 @@ from .divergences import (
     _kl_nats,
     _ln_base,
     _mi_nats_from_matrix,
+    _scale,
     conditional_entropy,
 )
 from .errors import (
@@ -64,7 +66,8 @@ class MapEstimator:
 @dataclass(frozen=True)
 class MLEstimator:
     """Picks the source symbol with the largest channel likelihood of the
-    observed block; ties go to the lowest source index."""
+    observed block; ties go to the lowest source index. Equal likelihoods
+    compare equal exactly: see _ml_picks."""
 
 
 @dataclass(frozen=True)
@@ -138,32 +141,41 @@ class ChainSummary:
 
 def compute_beta(channel: Channel, base: float = math.e) -> float:
     """Largest KL divergence between two rows of the channel."""
-    ln_b = _ln_base(base)
     worst = 0.0
     rows = [row.tolist() for row in channel.matrix]
     for a, b in itertools.permutations(rows, 2):
         worst = max(worst, _kl_nats(zip(a, b)))
-    return worst if base == math.e else worst / ln_b
+    return _scale(worst, base)
 
 
-def _output_tuples(channel: Channel, n: int) -> tuple[np.ndarray, list]:
-    """Index matrix (m^n x n) in row-major block order plus the tuple labels."""
-    m = len(channel.output_outcomes)
-    grids = np.meshgrid(*([np.arange(m)] * n), indexing="ij")
-    T = np.stack(grids, axis=-1).reshape(-1, n)
-    labels = [tuple(channel.output_outcomes[k] for k in row) for row in T.tolist()]
-    return T, labels
+def _ml_picks(matrix: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Most likely input index per block (ties to the lowest index).
+
+    A block's log-likelihood is sum_s count_s * ln P(s | x); symbols that do
+    not occur contribute nothing, even where P(s | x) = 0. The terms are
+    summed in sorted order, so likelihoods made of the same terms (blocks
+    that permute each other, inputs whose rows permute each other) are
+    bit-for-bit equal and the tie rule applies.
+    """
+    counts = np.stack([(blocks == s).sum(axis=1) for s in range(matrix.shape[1])],
+                      axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(counts > 0, counts * np.log(matrix)[:, None, :], 0.0)
+    return np.argmax(np.sort(terms, axis=2).sum(axis=2), axis=0)
 
 
-def _block_weights(row: np.ndarray, n: int) -> np.ndarray:
-    w = row
-    for _ in range(n - 1):
-        w = np.outer(w, row).ravel()
-    return w
+def _resolve_estimator(est, channel: Channel, blocks: np.ndarray):
+    """The estimator's decision on each distinct observation block.
 
-
-def _resolve_estimator(est, channel: Channel, T: np.ndarray, labels: list):
-    """Returns (xhat_labels, xhat_index_array or None, stochastic_matrix or None)."""
+    blocks is an index matrix into the channel outputs, one row per block.
+    Returns (xhat_labels, picks, E): picks holds one reconstruction index per
+    block for deterministic estimators, E one reconstruction distribution per
+    block for randomized ones; the other is None.
+    """
+    if isinstance(est, MLEstimator):
+        return channel.input_outcomes, _ml_picks(channel.matrix, blocks), None
+    out = channel.output_outcomes
+    labels = [tuple(out[k] for k in row) for row in blocks.tolist()]
     if isinstance(est, MapEstimator):
         idx_of = {lab: i for i, lab in enumerate(est.output_labels)}
         picks = np.empty(len(labels), dtype=np.intp)
@@ -176,36 +188,26 @@ def _resolve_estimator(est, channel: Channel, T: np.ndarray, labels: list):
                     f"estimator: value {value!r} missing from output_labels"
                 ) from None
         return est.output_labels, picks, None
-    if isinstance(est, MLEstimator):
-        with np.errstate(divide="ignore"):
-            ln_rows = np.log(channel.matrix)
-        ll = ln_rows[:, T].sum(axis=2)
-        picks = np.argmax(ll, axis=0)
-        return channel.input_outcomes, picks, None
     if isinstance(est, ChannelEstimator):
-        E = np.empty((len(labels), len(est.channel.output_outcomes)))
-        for j, lab in enumerate(labels):
-            E[j] = est.channel.matrix[est.row_index(lab)]
-        return est.channel.output_outcomes, None, E
+        rows = [est.row_index(lab) for lab in labels]
+        return est.channel.output_outcomes, None, est.channel.matrix[rows]
     raise FanoError(f"estimator: unsupported estimator {est!r}")
 
 
-def enumerate_chain(exp: Experiment, cap: int = DEFAULT_STATE_CAP) -> ChainSummary:
+def enumerate_chain(exp: Experiment) -> ChainSummary:
     """Exact chain quantities by enumerating every observation block."""
     nx = len(exp.prior)
     m = len(exp.channel.output_outcomes)
     n = exp.n_samples
-    if nx * m ** n > cap:
+    if nx * m ** n > DEFAULT_STATE_CAP:
         raise StateSpaceTooLarge(
             "n: chain state space %d * %d^%d exceeds the %d-state cap"
-            % (nx, m, n, cap)
+            % (nx, m, n, DEFAULT_STATE_CAP)
         )
-    T, labels = _output_tuples(exp.channel, n)
-    xhat_labels, picks, E = _resolve_estimator(exp.estimator, exp.channel, T, labels)
+    every_block = np.indices((m,) * n).reshape(n, -1).T   # row-major block order
+    xhat_labels, picks, E = _resolve_estimator(exp.estimator, exp.channel, every_block)
     k = len(xhat_labels)
-    block = np.empty((nx, len(labels)))
-    for i in range(nx):
-        block[i] = _block_weights(exp.channel.matrix[i], n)
+    block = _kron_rows(exp.channel.matrix, n)
     W = np.empty((nx, k))
     prior_w = exp.prior.weights
     for i in range(nx):
@@ -217,18 +219,13 @@ def enumerate_chain(exp: Experiment, cap: int = DEFAULT_STATE_CAP) -> ChainSumma
     if total != 1.0 and abs(total - 1.0) <= 1e-9:
         W = W / total
     joint = JointDistribution(exp.prior.outcomes, xhat_labels, W)
-
-    ln_b = _ln_base(exp.base)
-    scale = (lambda v: v) if exp.base == math.e else (lambda v: v / ln_b)
-    mi_xy = _mi_nats_from_matrix(prior_w[:, None] * block)
     joint1 = joint_from_prior_and_channel(exp.prior, exp.channel)
-    mi_y1 = _mi_nats_from_matrix(np.asarray(joint1.weights))
     return ChainSummary(
         joint_xxhat=joint,
         p_rel=event_probability(joint, exp.relation),
-        mi_xy=scale(mi_xy),
-        mi_y1=scale(mi_y1),
-        mi_xxhat=scale(_mi_nats_from_matrix(W)),
+        mi_xy=_scale(_mi_nats_from_matrix(prior_w[:, None] * block), exp.base),
+        mi_y1=_scale(_mi_nats_from_matrix(np.asarray(joint1.weights)), exp.base),
+        mi_xxhat=_scale(_mi_nats_from_matrix(W), exp.base),
         h_x_given_xhat=conditional_entropy(joint, exp.base),
         beta=compute_beta(exp.channel, exp.base),
         exact=True,
@@ -238,6 +235,17 @@ def enumerate_chain(exp: Experiment, cap: int = DEFAULT_STATE_CAP) -> ChainSumma
 def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     idx = np.searchsorted(cum, u, side="right")
     return np.minimum(idx, len(cum) - 1)
+
+
+def _distinct_blocks(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of y in row-major order, and the index of each row of y
+    among them. Sort-based, so it holds however large m^n gets."""
+    order = np.lexsort(y.T[::-1])
+    first = np.ones(len(y), dtype=bool)
+    first[1:] = (y[order[1:]] != y[order[:-1]]).any(axis=1)
+    index = np.empty(len(y), dtype=np.intp)
+    index[order] = np.cumsum(first) - 1
+    return y[order[first]], index
 
 
 def simulate_chain(exp: Experiment, trials: int, seed: int = 0) -> ChainSummary:
@@ -266,31 +274,14 @@ def simulate_chain(exp: Experiment, trials: int, seed: int = 0) -> ChainSummary:
             if mask.any():
                 y[mask, kk] = _inverse_cdf(cum_rows[i], u[mask])
 
-    est = exp.estimator
-    if isinstance(est, MLEstimator):
-        with np.errstate(divide="ignore"):
-            ln_rows = np.log(exp.channel.matrix)
-        ll = np.zeros((nx, trials))
-        for kk in range(n):
-            ll += ln_rows[:, y[:, kk]]
-        xhat_idx = np.argmax(ll, axis=0)
-        xhat_labels = exp.channel.input_outcomes
+    blocks, block_of = _distinct_blocks(y)
+    xhat_labels, picks, E = _resolve_estimator(exp.estimator, exp.channel, blocks)
+    if picks is not None:
+        xhat_idx = picks[block_of]
     else:
-        out_labels = exp.channel.output_outcomes
-        blocks = [tuple(out_labels[k] for k in row) for row in y.tolist()]
-        if isinstance(est, MapEstimator):
-            xhat_labels = est.output_labels
-            idx_of = {lab: i for i, lab in enumerate(xhat_labels)}
-            xhat_idx = np.array([idx_of[est.lookup(b)] for b in blocks], dtype=np.intp)
-        elif isinstance(est, ChannelEstimator):
-            xhat_labels = est.channel.output_outcomes
-            cum_est = np.cumsum(est.channel.matrix, axis=1)
-            u = rng.random(trials)
-            xhat_idx = np.empty(trials, dtype=np.intp)
-            for j, b in enumerate(blocks):
-                xhat_idx[j] = _inverse_cdf(cum_est[est.row_index(b)], u[j:j + 1])[0]
-        else:
-            raise FanoError(f"estimator: unsupported estimator {est!r}")
+        u = rng.random(trials)
+        below = np.cumsum(E, axis=1)[block_of] <= u[:, None]
+        xhat_idx = np.minimum(below.sum(axis=1), len(xhat_labels) - 1)
 
     counts = np.zeros((nx, len(xhat_labels)))
     np.add.at(counts, (x_idx, xhat_idx), 1.0)
@@ -301,23 +292,14 @@ def simulate_chain(exp: Experiment, trials: int, seed: int = 0) -> ChainSummary:
 
     counts_y1 = np.zeros((nx, m))
     np.add.at(counts_y1, (x_idx, y[:, 0]), 1.0)
-    pair_counts = Counter(zip(x_idx.tolist(), map(tuple, y.tolist())))
-    x_counts = Counter(x_idx.tolist())
-    block_counts = Counter(map(tuple, y.tolist()))
-    mi_xy = max(0.0, math.fsum(
-        (c / trials) * (math.log(c / trials)
-                        - math.log(x_counts[xi] / trials)
-                        - math.log(block_counts[blk] / trials))
-        for (xi, blk), c in pair_counts.items()))
-
-    ln_b = _ln_base(exp.base)
-    scale = (lambda v: v) if exp.base == math.e else (lambda v: v / ln_b)
+    counts_xy = np.bincount(x_idx * len(blocks) + block_of,
+                            minlength=nx * len(blocks)).reshape(nx, len(blocks))
     return ChainSummary(
         joint_xxhat=joint,
         p_rel=p_rel,
-        mi_xy=scale(mi_xy),
-        mi_y1=scale(_mi_nats_from_matrix(counts_y1 / trials)),
-        mi_xxhat=scale(_mi_nats_from_matrix(W)),
+        mi_xy=_scale(_mi_nats_from_matrix(counts_xy / trials), exp.base),
+        mi_y1=_scale(_mi_nats_from_matrix(counts_y1 / trials), exp.base),
+        mi_xxhat=_scale(_mi_nats_from_matrix(W), exp.base),
         h_x_given_xhat=conditional_entropy(joint, exp.base),
         beta=compute_beta(exp.channel, exp.base),
         exact=False,
@@ -326,7 +308,7 @@ def simulate_chain(exp: Experiment, trials: int, seed: int = 0) -> ChainSummary:
 
 
 def certify(exp: Experiment, trials: int | None = None, seed: int = 0,
-            tolerance: float = 1e-9, cap: int = DEFAULT_STATE_CAP) -> list:
+            tolerance: float = 1e-9) -> list:
     """Evaluate every applicable bound for the chain and return the reports.
 
     trials = None enumerates exactly (error past the state cap, suggesting
@@ -337,7 +319,7 @@ def certify(exp: Experiment, trials: int | None = None, seed: int = 0,
     """
     if trials is None:
         try:
-            summary = enumerate_chain(exp, cap=cap)
+            summary = enumerate_chain(exp)
         except StateSpaceTooLarge as exc:
             raise StateSpaceTooLarge(
                 f"{exc}; rerun with trials set to use the Monte Carlo path"
@@ -366,7 +348,7 @@ def certify(exp: Experiment, trials: int | None = None, seed: int = 0,
                 p_max=rb.p_max, base=base), tolerance), "relation-mi-observation")
             add(_bounds.independent_samples_bound(
                 exp.prior, exp.channel, n, exp.estimator, rel, rb, base=base,
-                tolerance=tolerance, cap=cap), "samples-mi-per-use")
+                tolerance=tolerance), "samples-mi-per-use")
             if math.isinf(summary.beta):
                 add(_bounds.BoundReport(
                     mode="check", bound_value=math.inf, observed=summary.p_rel,
@@ -381,7 +363,7 @@ def certify(exp: Experiment, trials: int | None = None, seed: int = 0,
         add(_bounds.entropy_version_bound(joint, rel, rb, base=base),
             "entropy-version")
         uniform = all(
-            abs(float(w) - 1.0 / len(exp.prior)) <= 1e-12
+            abs(float(w) - 1.0 / len(exp.prior)) <= _bounds.UNIFORM_TOLERANCE
             for w in exp.prior.weights)
         if (isinstance(rel, DistanceRelation) and uniform
                 and joint.row_outcomes == joint.col_outcomes):
@@ -402,9 +384,7 @@ def certify(exp: Experiment, trials: int | None = None, seed: int = 0,
     note = ("observed probability is a Monte Carlo estimate "
             "(stderr %.17g); judged within 3 standard errors" % summary.mc_stderr)
     joint1 = joint_from_prior_and_channel(exp.prior, exp.channel)
-    mi_y1_exact = _mi_nats_from_matrix(np.asarray(joint1.weights))
-    if base != math.e:
-        mi_y1_exact /= _ln_base(base)
+    mi_y1_exact = _scale(_mi_nats_from_matrix(np.asarray(joint1.weights)), base)
     if window_ok:
         for div, name in ((n * mi_y1_exact, "samples-mi-per-use"),
                           (n * summary.beta, "samples-worst-pair")):
@@ -461,12 +441,12 @@ def estimator_from_json(obj: dict):
             raise FanoError('estimator: map estimator requires "pairs"')
         mapping = {}
         for key, value in pairs:
-            key = _tuple_label(key)
+            key = _label_from_json(key)
             if not isinstance(key, tuple):
                 key = (key,)
-            mapping[key] = _tuple_label(value)
+            mapping[key] = _label_from_json(value)
         if "outputs" in obj:
-            outputs = tuple(_tuple_label(v) for v in obj["outputs"])
+            outputs = tuple(_label_from_json(v) for v in obj["outputs"])
         else:
             seen = []
             for v in mapping.values():
@@ -479,12 +459,6 @@ def estimator_from_json(obj: dict):
             raise FanoError('estimator: channel estimator requires "channel"')
         return ChannelEstimator(channel_from_json(obj["channel"]))
     raise FanoError(f"estimator: unknown kind {kind!r}")
-
-
-def _tuple_label(value):
-    if isinstance(value, list):
-        return tuple(_tuple_label(v) for v in value)
-    return value
 
 
 def experiment_from_json(obj: dict) -> Experiment:

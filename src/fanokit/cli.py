@@ -25,8 +25,11 @@ from . import verify as _verify
 from .distributions import distribution_from_json
 from .divergences import kl_divergence, renyi_divergence
 from .errors import FanoError
-from .relations import domain_from_json
-from .bounds import BoundInputs, reports_to_csv
+from .relations import domain_from_json, resolve_volume_method, sup_ball_volume
+from .bounds import BoundInputs
+
+REPORT_TABLE = ("mode", "bound_value", "observed", "slack", "feasible_sup",
+                "solver_tolerance", "holds")
 
 
 def _thread_cap() -> int:
@@ -96,37 +99,41 @@ def _write_output(text: str, out_path: str | None) -> None:
         raise
 
 
-def _report_table(report: _bounds.BoundReport) -> str:
-    rows = [
-        ("mode", report.mode),
-        ("bound_value", report.bound_value),
-        ("observed", report.observed),
-        ("slack", report.slack),
-        ("feasible_sup", report.feasible_sup),
-        ("solver_tolerance", report.solver_tolerance),
-        ("holds", report.holds),
-        ("notes", report.notes or "-"),
-    ]
-    lines = []
-    for name, value in rows:
-        if isinstance(value, float):
-            value = _bounds._csv_cell(value)
-        lines.append("%-17s %s" % (name + ":", value))
-    return "\n".join(lines)
-
-
-def _emit_reports(reports: list, fmt: str, out_path: str | None) -> None:
-    if fmt == "json":
-        obj = {"reports": {r.instance_id or "report": r.to_json_obj() for r in reports}}
-        _write_output(jsonio.dumps(obj), out_path)
-    elif fmt == "csv":
-        _write_output(reports_to_csv(reports), out_path)
+def _emit(args, result) -> None:
+    """Writes a command's result in args.format: a list of bound reports, a
+    sweep summary, or a flat dict of scalars. Table names are padded to 17
+    columns for reports and 14 otherwise; None prints as None in a table and
+    as an empty CSV cell."""
+    if isinstance(result, list):
+        obj = {"reports": {r.instance_id or "report": r.to_json_obj() for r in result}}
+        csv_rows = _bounds.reports_to_rows(result)
+        records = [(r.instance_id, [(name, getattr(r, name)) for name in REPORT_TABLE]
+                    + [("notes", r.notes or "-")]) for r in result]
+        width = 17
     else:
-        blocks = []
-        for r in reports:
-            head = ("[%s]\n" % r.instance_id) if r.instance_id else ""
-            blocks.append(head + _report_table(r))
-        _write_output("\n\n".join(blocks), out_path)
+        if isinstance(result, _verify.SweepSummary):
+            # fixed order; the table calls the worst instance "worst", "-" if none
+            obj = result.to_json_obj(include_timing=args.timing)
+            worst = result.worst_instance["id"] if result.worst_instance else None
+            rows = [("instances", result.instances), ("violations", result.violations),
+                    ("max_violation", result.max_violation), ("worst_id", worst),
+                    ("elapsed_ms", result.elapsed_ms)][:5 if args.timing else 4]
+            table = rows[:3] + [("worst", worst or "-")] + rows[4:]
+        else:
+            obj = result
+            rows = table = sorted(obj.items())
+        csv_rows = [[name for name, _ in rows], [value for _, value in rows]]
+        records = [("", table)]
+        width = 14
+    if args.format == "json":
+        text = jsonio.dumps(obj)
+    elif args.format == "csv":
+        text = jsonio.format_csv(csv_rows)
+    else:
+        text = "\n\n".join(("[%s]\n" % title if title else "") + "\n".join(
+            "%-*s %s" % (width, name + ":", jsonio.format_cell(value))
+            for name, value in fields) for title, fields in records)
+    _write_output(text, args.out)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -195,20 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scalar_output(obj: dict, fmt: str, out_path: str | None) -> None:
-    if fmt == "json":
-        _write_output(jsonio.dumps(obj), out_path)
-    elif fmt == "csv":
-        keys = sorted(obj.keys())
-        cells = [_bounds._csv_cell(obj[k]) if not isinstance(obj[k], str) else obj[k]
-                 for k in keys]
-        _write_output(",".join(keys) + "\n" + ",".join(cells), out_path)
-    else:
-        lines = ["%-14s %s" % (k + ":", _bounds._csv_cell(v) if isinstance(v, float) else v)
-                 for k, v in sorted(obj.items())]
-        _write_output("\n".join(lines), out_path)
-
-
 def _cmd_divergence(args) -> int:
     base = _parse_base(args.base)
     P = distribution_from_json(_load_json(args.P))
@@ -218,12 +211,14 @@ def _cmd_divergence(args) -> int:
         value = kl_divergence(P, Q, base)
     else:
         value = renyi_divergence(P, Q, alpha, base)
-    _scalar_output({"alpha": alpha, "base": base, "value": value},
-                   args.format, args.out)
+    _emit(args, {"alpha": alpha, "base": base, "value": value})
     return 0
 
 
 def _bound_inputs_from_json(obj: dict, args, base: float) -> BoundInputs:
+    if obj.get("kind") == "renyi" and "alpha" not in obj and args.alpha is None:
+        raise FanoError("alpha: the renyi bound needs an order (in the input "
+                        "object or via --alpha)")
     alpha = obj.get("alpha", "kl")
     if args.alpha is not None:
         alpha = _parse_alpha(args.alpha)
@@ -284,7 +279,7 @@ def _cmd_bound(args, solve: bool) -> int:
             base=base, tolerance=args.tolerance)
     else:
         raise FanoError(f"kind: unknown bound kind {kind!r}")
-    _emit_reports([report], args.format, args.out)
+    _emit(args, [report])
     return 0 if (solve or report.holds) else 1
 
 
@@ -299,7 +294,7 @@ def _cmd_certify(args) -> int:
         exp = dataclasses.replace(exp, n_samples=args.n)
     reports = _chains.certify(exp, trials=args.trials, seed=args.seed,
                               tolerance=args.tolerance)
-    _emit_reports(reports, args.format, args.out)
+    _emit(args, reports)
     return 0 if all(r.holds is not False for r in reports) else 1
 
 
@@ -311,47 +306,19 @@ def _cmd_sweep(args) -> int:
         raise FanoError("k, alphas: expected comma-separated numbers") from None
     spec = _verify.SweepSpec(outcome_counts=counts,
                              weight_grid_denominator=args.denominator,
-                             alphas=alphas, tolerance=args.tolerance,
-                             seed=args.seed)
+                             alphas=alphas, tolerance=args.tolerance)
     summary = _verify.sweep_diffusion(spec)
-    if args.format == "json":
-        _write_output(jsonio.dumps(summary.to_json_obj(include_timing=args.timing)),
-                      args.out)
-    elif args.format == "csv":
-        header = ["instances", "violations", "max_violation", "worst_id"]
-        cells = [str(summary.instances), str(summary.violations),
-                 _bounds._csv_cell(summary.max_violation),
-                 summary.worst_instance["id"] if summary.worst_instance else ""]
-        if args.timing:
-            header.append("elapsed_ms")
-            cells.append(_bounds._csv_cell(summary.elapsed_ms))
-        _write_output(",".join(header) + "\n" + ",".join(cells), args.out)
-    else:
-        lines = [
-            "instances:     %d" % summary.instances,
-            "violations:    %d" % summary.violations,
-            "max_violation: %s" % _bounds._csv_cell(summary.max_violation),
-            "worst:         %s" % (summary.worst_instance["id"]
-                                   if summary.worst_instance else "-"),
-        ]
-        if args.timing:
-            lines.append("elapsed_ms:    %s" % _bounds._csv_cell(summary.elapsed_ms))
-        _write_output("\n".join(lines), args.out)
+    _emit(args, summary)
     return 1 if summary.violations else 0
 
 
 def _cmd_volume(args) -> int:
     domain = domain_from_json(_load_json(args.domain))
-    value, error = _verify_sup_ball(domain, args)
-    _scalar_output({"value": value, "error": error, "method": args.method},
-                   args.format, args.out)
+    method = resolve_volume_method(domain, args.method)
+    value, error = sup_ball_volume(domain, method=method, samples=args.samples,
+                                   seed=args.seed, resolution=args.resolution)
+    _emit(args, {"value": value, "error": error, "method": method})
     return 0
-
-
-def _verify_sup_ball(domain, args):
-    from .relations import sup_ball_volume
-    return sup_ball_volume(domain, method=args.method, samples=args.samples,
-                           seed=args.seed, resolution=args.resolution)
 
 
 def main(argv=None) -> int:

@@ -253,13 +253,16 @@ def product_channel(channel: Channel, n: int, cap: int = DEFAULT_STATE_CAP) -> C
             "n: product output space %d^%d exceeds the %d-state cap" % (m, n, cap)
         )
     outputs = tuple(itertools.product(channel.output_outcomes, repeat=n))
-    rows = np.empty((len(channel.input_outcomes), m ** n))
-    for i, base_row in enumerate(channel.matrix):
-        w = base_row
-        for _ in range(n - 1):
-            w = np.outer(w, base_row).ravel()
-        rows[i] = w
-    return Channel(channel.input_outcomes, outputs, rows)
+    return Channel(channel.input_outcomes, outputs, _kron_rows(channel.matrix, n))
+
+
+def _kron_rows(matrix: np.ndarray, n: int) -> np.ndarray:
+    """Row-wise n-th Kronecker power: row i holds the probability of every
+    length-n output block under input i, blocks in row-major order."""
+    rows = matrix
+    for _ in range(n - 1):
+        rows = (rows[:, :, None] * matrix[:, None, :]).reshape(len(matrix), -1)
+    return rows
 
 
 # -- JSON parsing -----------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Deterministic JSON emission.
+"""Deterministic output formatting: JSON, plus the text cells of tables and CSV.
 
 The stock json module prints floats via repr, which is fine for round-trips
 but does not guarantee a fixed significant-digit count, and it emits Infinity
@@ -7,13 +7,16 @@ sorts object keys, and maps +/-inf to the strings "inf"/"-inf". NaN is a bug
 by contract and raises.
 
 Output is a pure function of the value tree, which is what makes byte-identical
-CLI output across runs and thread settings cheap to guarantee.
+CLI output across runs and thread settings cheap to guarantee. Table and CSV
+cells print floats with the same 17 significant digits, bare (inf, 1).
 """
 from __future__ import annotations
 
 import json
 import math
 from typing import Any
+
+INDENT = 2
 
 
 def format_float(x: float) -> str:
@@ -26,6 +29,17 @@ def format_float(x: float) -> str:
     if "." not in text and "e" not in text and "E" not in text:
         text += ".0"
     return text
+
+
+def format_cell(value: Any) -> str:
+    """Table or CSV cell: floats as %.17g (inf, -inf, no forced ".0")."""
+    return "%.17g" % value if isinstance(value, float) else str(value)
+
+
+def format_csv(rows) -> str:
+    """Comma-separated lines, one per row, with None as an empty cell."""
+    return "".join(",".join("" if v is None else format_cell(v) for v in row) + "\n"
+                   for row in rows)
 
 
 def parse_extended(value: Any) -> float:
@@ -42,9 +56,9 @@ def parse_extended(value: Any) -> float:
     return float(value)
 
 
-def _emit(obj: Any, out: list, indent: int, level: int) -> None:
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
+def _emit(obj: Any, out: list, level: int) -> None:
+    pad = " " * (INDENT * (level + 1))
+    close_pad = " " * (INDENT * level)
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool):
@@ -65,7 +79,7 @@ def _emit(obj: Any, out: list, indent: int, level: int) -> None:
             if not isinstance(key, str):
                 raise TypeError("JSON object keys must be strings, got %r" % (key,))
             out.append(pad + json.dumps(key) + ": ")
-            _emit(obj[key], out, indent, level + 1)
+            _emit(obj[key], out, level + 1)
             out.append(",\n" if i < len(keys) - 1 else "\n")
         out.append(close_pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -76,14 +90,14 @@ def _emit(obj: Any, out: list, indent: int, level: int) -> None:
         out.append("[\n")
         for i, item in enumerate(seq):
             out.append(pad)
-            _emit(item, out, indent, level + 1)
+            _emit(item, out, level + 1)
             out.append(",\n" if i < len(seq) - 1 else "\n")
         out.append(close_pad + "]")
     else:
         raise TypeError("cannot serialize %r" % type(obj))
 
 
-def dumps(obj: Any, indent: int = 2) -> str:
+def dumps(obj: Any) -> str:
     out: list = []
-    _emit(obj, out, indent, 0)
+    _emit(obj, out, 0)
     return "".join(out)

@@ -14,7 +14,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .distributions import FiniteDistribution, Label
+from .distributions import FiniteDistribution, Label, _label_from_json
 from .errors import (
     EmptyCandidateSet,
     FanoError,
@@ -184,6 +184,8 @@ def ball_counts(rho: Callable[[Any, Any], float], t: float,
 
 # -- continuous domains -----------------------------------------------------
 
+LANDMARKS_PER_AXIS = 64
+
 _VECTOR_METRICS = {
     "l1": lambda diff: np.abs(diff).sum(axis=1),
     "l2": lambda diff: np.sqrt((diff * diff).sum(axis=1)),
@@ -265,29 +267,31 @@ def _landmark_centers(domain: ContinuousDomain, per_axis: int) -> np.ndarray:
     return np.concatenate(keep, axis=0)
 
 
-def _exact_sup_ball(domain: ContinuousDomain) -> float:
-    metric = domain.metric
-    exact_ok = (isinstance(metric, str) and
-                (metric == "linf" or domain.dimension == 1))
-    if not exact_ok:
-        raise UnsupportedMetricForExact(
-            "method: exact volume needs the sup-metric or a 1-d box"
-        )
-    vol = 1.0
-    for lo, hi in domain.box:
-        vol *= min(2.0 * domain.t, hi - lo)
-    return vol
+def _has_exact_volume(domain: ContinuousDomain) -> bool:
+    """The closed form covers the sup-metric and any named metric in 1-d."""
+    return isinstance(domain.metric, str) and (
+        domain.metric == "linf" or domain.dimension == 1)
+
+
+def resolve_volume_method(domain: ContinuousDomain, method: str) -> str:
+    """The volume method sup_ball_volume runs: "auto" becomes "exact" where
+    the closed form exists and "monte-carlo" elsewhere."""
+    if method not in ("auto", "exact", "monte-carlo", "grid"):
+        raise FanoError(f"method: unknown volume method {method!r}")
+    if method != "auto":
+        return method
+    return "exact" if _has_exact_volume(domain) else "monte-carlo"
 
 
 def sup_ball_volume(domain: ContinuousDomain, method: str = "auto",
                     samples: int = 65536, seed: int = 0,
-                    resolution: int = 64,
-                    centers_per_axis: int = 64) -> tuple[float, float]:
+                    resolution: int = 64) -> tuple[float, float]:
     """Largest volume of a radius-t ball intersected with the box.
 
     Returns (value, error_estimate). The supremum over centers is approximated
-    by a deterministic landmark set: a uniform grid of centers (default 64 per
-    axis) plus the box center and corners.
+    by a deterministic landmark set: a uniform grid of LANDMARKS_PER_AXIS
+    centers per axis plus the box center and corners. resolve_volume_method
+    says which method runs.
 
     exact: closed form, error 0. Available for the sup-metric in any
     dimension and for any named metric on a 1-d box.
@@ -299,22 +303,20 @@ def sup_ball_volume(domain: ContinuousDomain, method: str = "auto",
     grid: midpoint rule with `resolution` cells per axis; the error estimate
     is the heuristic boundary-layer volume vol(box) * d * 2 / resolution.
     """
-    if method not in ("auto", "exact", "monte-carlo", "grid"):
-        raise FanoError(f"method: unknown volume method {method!r}")
-    if method == "auto":
-        try:
-            return _exact_sup_ball(domain), 0.0
-        except UnsupportedMetricForExact:
-            method = "monte-carlo"
+    method = resolve_volume_method(domain, method)
     if method == "exact":
-        return _exact_sup_ball(domain), 0.0
+        if not _has_exact_volume(domain):
+            raise UnsupportedMetricForExact(
+                "method: exact volume needs the sup-metric or a 1-d box"
+            )
+        return math.prod(min(2.0 * domain.t, hi - lo) for lo, hi in domain.box), 0.0
 
     if domain.t == 0.0:
         return 0.0, 0.0
     lo = np.array([a for a, _ in domain.box])
     width = np.array([b - a for a, b in domain.box])
     box_vol = domain.volume
-    centers = _landmark_centers(domain, centers_per_axis)
+    centers = _landmark_centers(domain, LANDMARKS_PER_AXIS)
 
     if method == "monte-carlo":
         if samples < 1:
@@ -362,7 +364,8 @@ def relation_from_json(obj: dict) -> Relation:
             entries = obj.get("table")
             if not entries:
                 raise FanoError('relation: metric "table" requires a "table" field')
-            rho = table_metric([(_json_label(x), _json_label(y), d) for x, y, d in entries])
+            rho = table_metric([(_label_from_json(x), _label_from_json(y), d)
+                                for x, y, d in entries])
             name = None
         else:
             rho = metric_from_name(metric)
@@ -374,14 +377,9 @@ def relation_from_json(obj: dict) -> Relation:
         pairs = obj.get("pairs")
         if pairs is None:
             raise FanoError('relation: predicate-table requires a "pairs" field')
-        return relation_from_pairs([(_json_label(x), _json_label(y)) for x, y in pairs])
+        return relation_from_pairs([(_label_from_json(x), _label_from_json(y))
+                                    for x, y in pairs])
     raise FanoError(f"relation: unknown kind {kind!r}")
-
-
-def _json_label(value):
-    if isinstance(value, list):
-        return tuple(_json_label(v) for v in value)
-    return value
 
 
 def domain_from_json(obj: dict) -> ContinuousDomain:

@@ -14,10 +14,11 @@ from typing import Callable, Iterable
 
 from .bounds import _kl_rhs_nats, _renyi_rhs_nats
 from .distributions import FiniteDistribution
-from .divergences import _kl_nats, _renyi_nats, kl_divergence
+from .divergences import KL_ALPHA_BAND, _kl_nats, _renyi_nats, kl_divergence
 from .errors import GridTooLarge, NumericalInstability
 
 MAX_SWEEP_INSTANCES = 5_000_000
+POWER_SUM_GRID_POINTS = 1001
 
 
 @dataclass(frozen=True)
@@ -26,7 +27,6 @@ class SweepSpec:
     weight_grid_denominator: int = 8
     alphas: tuple = (0.25, 0.5, 2.0, 4.0)
     tolerance: float = 1e-9
-    seed: int = 0
 
 
 @dataclass
@@ -71,8 +71,7 @@ def _planned_instances(spec: SweepSpec) -> int:
     return total
 
 
-def sweep_diffusion(spec: SweepSpec,
-                    max_instances: int = MAX_SWEEP_INSTANCES) -> SweepSummary:
+def sweep_diffusion(spec: SweepSpec) -> SweepSummary:
     """Grid sweep of the diffusion bounds.
 
     For each pair (P on the full grid, Q on the full-support grid) and each
@@ -84,9 +83,9 @@ def sweep_diffusion(spec: SweepSpec,
     if d < 1:
         raise GridTooLarge(f"weight_grid_denominator: must be >= 1, got {d!r}")
     planned = _planned_instances(spec)
-    if planned > max_instances:
+    if planned > MAX_SWEEP_INSTANCES:
         raise GridTooLarge(
-            f"sweep: {planned} planned instances exceed the cap {max_instances}"
+            f"sweep: {planned} planned instances exceed the cap {MAX_SWEEP_INSTANCES}"
         )
     for a in spec.alphas:
         if a == 1.0 or a <= 0.0 or math.isinf(a):
@@ -188,15 +187,15 @@ class PowerSumCheck:
     points: int
 
 
-def verify_power_sum(alphas: Iterable[float] = (0.25, 0.5, 1.0, 2.0, 4.0),
-                     grid_points: int = 1001) -> PowerSumCheck:
+def verify_power_sum(
+        alphas: Iterable[float] = (0.25, 0.5, 1.0, 2.0, 4.0)) -> PowerSumCheck:
     """p^a + (1-p)^a is >= 1 for a <= 1, <= 1 for a >= 1, exactly 1 at a = 1,
     on a uniform p grid over [0, 1]."""
     worst = 0.0
     count = 0
-    step = 1.0 / (grid_points - 1)
+    step = 1.0 / (POWER_SUM_GRID_POINTS - 1)
     for a in alphas:
-        for i in range(grid_points):
+        for i in range(POWER_SUM_GRID_POINTS):
             p = i * step
             s = p ** a + (1.0 - p) ** a
             count += 1
@@ -246,7 +245,7 @@ def verify_limit(P: FiniteDistribution, Q: FiniteDistribution,
     for k in range(1, k_max + 1):
         offset = 10.0 ** (-k)
         alpha = 1.0 - offset if side == "below" else 1.0 + offset
-        if abs(alpha - 1.0) < 1e-9:
+        if abs(alpha - 1.0) < KL_ALPHA_BAND:
             raise NumericalInstability(
                 f"k: order 1 {'-' if side == 'below' else '+'} 1e-{k} is inside "
                 "the 1e-9 band around 1; the evaluation is not meaningful there"

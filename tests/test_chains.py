@@ -1,6 +1,10 @@
 """End-to-end chains: prior, channel, estimator, relation."""
+import itertools
 import math
+from collections import Counter
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import bsc, philox
@@ -24,7 +28,7 @@ from fanokit import (
     simulate_chain,
     uniform_distribution,
 )
-from fanokit.chains import estimator_from_json, experiment_from_json
+from fanokit.chains import _distinct_blocks, estimator_from_json, experiment_from_json
 from fanokit.errors import InconsistentBounds, StateSpaceTooLarge
 
 # mpmath, 50 digits: worst-pair divergence of the (0.9/0.2) asymmetric channel
@@ -102,6 +106,46 @@ class TestEstimators:
         # decoder always answers 0, so it is right half the time
         assert s.p_rel == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("m, n", [(2, 4), (3, 3), (3, 4), (4, 4)])
+    def test_ml_exact_ties_go_to_the_first_input(self, m, n):
+        # m-ary symmetric channel: every block whose most frequent symbol is
+        # shared by several inputs is exactly as likely under each of them
+        stay = 0.9
+        rows = [[stay if x == y else (1.0 - stay) / (m - 1) for y in range(m)]
+                for x in range(m)]
+        ch = Channel(tuple(range(m)), tuple(range(m)), rows)
+        s = enumerate_chain(Experiment(uniform_distribution(range(m)), ch,
+                                       MLEstimator(), equality_relation(),
+                                       n_samples=n))
+        want = np.zeros((m, m))
+        for block in itertools.product(range(m), repeat=n):
+            lik = [math.prod(Fraction(ch.matrix[x, y]) for y in block)
+                   for x in range(m)]
+            pick = lik.index(max(lik))        # first input of the exact maximum
+            for x in range(m):
+                want[x, pick] += float(lik[x]) / m
+        assert np.abs(s.joint_xxhat.weights - want).max() <= 1e-12
+
+    def test_ml_ties_match_on_the_monte_carlo_path(self):
+        # BSC(0.1), n = 4: the six blocks with two 0s and two 1s decide 0, so
+        # source 1 is decoded as 0 whenever at least two 0s arrive
+        exp = Experiment(HALF, bsc(0.1), MLEstimator(), equality_relation(),
+                         n_samples=4)
+        want = 0.5 * sum(math.comb(4, k) * 0.1 ** k * 0.9 ** (4 - k)
+                         for k in (2, 3, 4))
+        assert enumerate_chain(exp).joint_xxhat.weights[1, 0] == pytest.approx(
+            want, abs=1e-15)
+        sim = simulate_chain(exp, 20000, seed=4)
+        stderr = math.sqrt(want * (1.0 - want) / 20000)
+        assert abs(sim.joint_xxhat.weights[1, 0] - want) < 4 * stderr
+
+    def test_map_value_missing_from_outputs_fails_alike_on_both_paths(self):
+        est = MapEstimator({0: 0, 1: 7}, (0, 1))
+        exp = Experiment(HALF, bsc(0.1), est, equality_relation())
+        for run in (lambda: enumerate_chain(exp), lambda: simulate_chain(exp, 100)):
+            with pytest.raises(FanoError, match="value 7 missing from output_labels"):
+                run()
+
     def test_map_estimator_single_symbol_fallback(self):
         flip = MapEstimator({0: 1, 1: 0}, (0, 1))
         assert flip.lookup((0,)) == 1 and flip.lookup((1,)) == 0
@@ -150,6 +194,33 @@ class TestSimulate:
         assert sim.mi_y1 == pytest.approx(exact.mi_y1, abs=0.05)
         assert sim.mi_y1 != exact.mi_y1
         assert sim.beta == exact.beta
+
+
+def test_distinct_blocks_hold_past_int64_codes():
+    # with symbols this large, m^n block codes would overflow int64 at n = 3
+    big = 2 ** 40
+    y = np.array([[big, 0, 1], [0, big, 1], [big, 0, 1], [0, 0, 0], [0, big, 1]])
+    blocks, index = _distinct_blocks(y)
+    assert blocks.tolist() == [[0, 0, 0], [0, big, 1], [big, 0, 1]]
+    assert (blocks[index] == y).all()
+
+
+def test_monte_carlo_plug_in_information_matches_a_counting_reference():
+    # the plug-in I(X;Y^n) from per-block counts, recomputed trial by trial
+    # from the same stream (x first, then one uniform per position)
+    exp = Experiment(HALF, bsc(0.2), MLEstimator(), equality_relation(),
+                     n_samples=3)
+    trials = 3000
+    rng = philox(6)
+    x = np.searchsorted(np.cumsum(exp.prior.weights), rng.random(trials), "right")
+    u = rng.random((3, trials))
+    blocks = [tuple(int(u[k, j] >= exp.channel.matrix[x[j], 0]) for k in range(3))
+              for j in range(trials)]
+    pairs = Counter(zip(x.tolist(), blocks))
+    xs, ys = Counter(x.tolist()), Counter(blocks)
+    want = math.fsum(c / trials * math.log(c * trials / (xs[a] * ys[b]))
+                     for (a, b), c in pairs.items())
+    assert simulate_chain(exp, trials, seed=6).mi_xy == pytest.approx(want, abs=1e-12)
 
 
 class TestCertify:

@@ -100,6 +100,14 @@ class TestBound:
         assert report["bound_value"] == pytest.approx(0.5693234419266069,
                                                       abs=1e-12)
 
+    def test_renyi_kind_needs_an_order(self, capsys):
+        body = ('{"kind": "renyi", "divergence": 0.2, "p_min": 0, "p_max": 0.5, '
+                '"p": 0.3}')
+        for command in ("bound", "solve"):
+            assert main([command, body]) == 2
+            assert capsys.readouterr().err.startswith("error: alpha:")
+        assert main(["bound", body, "--alpha", "0.5"]) == 0
+
     def test_unknown_kind_is_a_usage_error(self):
         code, _, err = run_cli("bound", '{"kind": "nope"}')
         assert code == 2 and err.startswith("error:")
@@ -153,6 +161,14 @@ class TestCertify:
         reports = json.loads(capsys.readouterr().out)["reports"]
         assert set(reports) == {"samples-mi-per-use", "samples-worst-pair"}
 
+    def test_missing_map_value_is_the_same_error_on_both_paths(self, capsys):
+        exp = dict(self.EXPERIMENT, estimator={
+            "kind": "map", "pairs": [[0, 0], [1, 1], [2, 7]], "outputs": [0, 1, 2]})
+        for extra in ([], ["--trials", "200"]):
+            assert main(["certify", json.dumps(exp)] + extra) == 2
+            assert capsys.readouterr().err == (
+                "error: estimator: value 7 missing from output_labels\n")
+
     def test_csv_lists_every_report(self, tmp_path, capsys):
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(self.EXPERIMENT))
@@ -203,6 +219,17 @@ class TestVolume:
         assert obj == {"error": 0.0, "method": "exact",
                        "value": 0.20000000000000001}
 
+    def test_auto_reports_the_method_that_ran(self, capsys):
+        disc = '{"box": [[0, 1], [0, 1]], "metric": "l2", "t": 0.2}'
+        for domain, ran in (('{"box": [[0, 1]], "metric": "abs", "t": 0.1}', "exact"),
+                            (disc, "monte-carlo")):
+            assert main(["volume", domain, "--samples", "16", "--format", "json"]) == 0
+            assert json.loads(capsys.readouterr().out)["method"] == ran
+        main(["bound", '{"kind": "continuous", "mi": 0.1, "p_t": 0.9, "samples": 16, '
+                       '"domain": %s}' % disc, "--format", "json"])
+        notes = json.loads(capsys.readouterr().out)["reports"]["report"]["notes"]
+        assert "(monte-carlo)" in notes
+
     def test_out_file_is_written_atomically(self, tmp_path, capsys):
         target = tmp_path / "vol.json"
         code = main(["volume", '{"box": [[0, 1]], "metric": "abs", "t": 0.1}',
@@ -226,3 +253,73 @@ class TestErrors:
             "bound", '{"divergence": 0.1, "p_min": 0.5, "p_max": 0.5, "p": 0.5}'
         )
         assert code == 2 and "error:" in err
+
+
+# -- golden stdout -------------------------------------------------------------
+# Every subcommand in every format, pinned byte for byte to the files in
+# tests/golden/ (named <case>.<format>).
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+EXACT_EXPERIMENT = json.dumps(TestCertify.EXPERIMENT)
+DISTANCE_LABELS = [0, 1, 3, 6]
+DISTANCE_EXPERIMENT = json.dumps({
+    "prior": {"outcomes": DISTANCE_LABELS, "weights": [0.25] * 4},
+    "channel": {"inputs": DISTANCE_LABELS, "outputs": [0, 1, 2, 3],
+                "rows": [[0.7, 0.1, 0.1, 0.1], [0.2, 0.6, 0.1, 0.1],
+                         [0.1, 0.2, 0.5, 0.2], [0.05, 0.05, 0.2, 0.7]]},
+    "estimator": {"kind": "map", "outputs": DISTANCE_LABELS, "pairs": [
+        [[a, b], DISTANCE_LABELS[max(a, b)]] for a in range(4) for b in range(4)]},
+    "relation": {"kind": "distance", "metric": "abs", "t": 1.0},
+    "n": 2,
+})
+CHANNEL_EXPERIMENT = json.dumps(dict(TestCertify.EXPERIMENT, estimator={
+    "kind": "channel", "channel": {
+        "inputs": [0, 1, 2], "outputs": [0, 1, 2],
+        "rows": [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]}}))
+UNIT_INTERVAL = '{"box": [[0, 1]], "metric": "abs", "t": 0.1}'
+UNIT_DISC = '{"box": [[0, 1], [0, 1]], "metric": "l2", "t": 0.2}'
+
+# case -> (argv without --format, exit code)
+GOLDEN_CASES = {
+    "divergence": (["divergence", P_JSON, Q_JSON, "--alpha", "2"], 0),
+    "divergence-base2": (["divergence", P_JSON, Q_JSON, "--base", "2"], 0),
+    "bound-kl": (["bound", '{"divergence": 0.05, "p_min": 0.0, "p_max": 0.5, '
+                           '"p": 0.4}'], 0),
+    "bound-kl-violated": (["bound", '{"divergence": 0.0, "p_min": 0.0, '
+                                    '"p_max": 0.5, "p": 0.9}'], 1),
+    "bound-renyi": (["bound", '{"kind": "renyi", "alpha": 0.5, "divergence": 0.2, '
+                              '"p_min": 0, "p_max": 0.5, "p": 0.3}'], 0),
+    "bound-mi-distance": (["bound", '{"kind": "mi-distance", "mi": 0.3, "size": 6, '
+                                    '"ball_max": 2, "p_t": 0.5}'], 0),
+    "bound-continuous": (["bound", '{"kind": "continuous", "mi": 0.25, "p_t": 0.5, '
+                                   '"domain": %s}' % UNIT_INTERVAL], 0),
+    "solve-kl": (["solve", '{"divergence": 0.05, "p_min": 0.0, "p_max": 0.5}'], 0),
+    "solve-renyi-base2": (["solve", '{"kind": "renyi", "alpha": 2, "divergence": 0.1, '
+                                    '"p_min": 0.1, "p_max": 0.4}', "--base", "2"], 0),
+    "solve-continuous-grid": (["solve", '{"kind": "continuous", "mi": 0.1, '
+                                        '"variant": "entropy", "method": "grid", '
+                                        '"resolution": 16, "domain": %s}' % UNIT_DISC],
+                              0),
+    "certify-exact": (["certify", EXACT_EXPERIMENT, "--n", "2"], 0),
+    "certify-exact-base2": (["certify", EXACT_EXPERIMENT, "--base", "2"], 0),
+    "certify-exact-distance": (["certify", DISTANCE_EXPERIMENT], 0),
+    "certify-mc": (["certify", EXACT_EXPERIMENT, "--trials", "4000", "--seed", "3"], 0),
+    "certify-mc-map": (["certify", DISTANCE_EXPERIMENT, "--trials", "3000",
+                        "--seed", "1"], 0),
+    "certify-mc-channel": (["certify", CHANNEL_EXPERIMENT, "--trials", "2000"], 0),
+    "sweep": (["sweep", "--k", "2,3", "--denominator", "4", "--alphas", "0.5,2"], 0),
+    "sweep-empty": (["sweep", "--k", "2", "--denominator", "1"], 0),
+    "volume-grid": (["volume", UNIT_DISC, "--method", "grid", "--resolution", "16"], 0),
+    "volume-auto": (["volume", UNIT_INTERVAL], 0),
+    "volume-auto-2d": (["volume", UNIT_DISC, "--samples", "64", "--seed", "2"], 0),
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_golden_stdout(case, fmt, capsys):
+    argv, code = GOLDEN_CASES[case]
+    assert main(argv + ["--format", fmt]) == code
+    with open(os.path.join(GOLDEN, "%s.%s" % (case, fmt)), encoding="utf-8") as fh:
+        assert capsys.readouterr().out == fh.read()

@@ -19,7 +19,11 @@ from fanokit import (
     table_metric,
 )
 from fanokit.errors import OutOfRangeProbability, UnsupportedMetricForExact
-from fanokit.relations import domain_from_json, relation_from_json
+from fanokit.relations import (
+    domain_from_json,
+    relation_from_json,
+    resolve_volume_method,
+)
 
 
 class TestRelations:
@@ -123,6 +127,17 @@ class TestContinuousVolumes:
     def test_exact_linf_square(self):
         dom = ContinuousDomain(((0.0, 1.0), (0.0, 1.0)), "linf", 0.25)
         assert sup_ball_volume(dom, method="exact") == (0.25, 0.0)
+
+    def test_auto_resolves_to_the_method_that_runs(self):
+        square = ((0.0, 1.0), (0.0, 1.0))
+        assert resolve_volume_method(ContinuousDomain(square, "linf", 0.2),
+                                     "auto") == "exact"
+        assert resolve_volume_method(ContinuousDomain(square, "l2", 0.2),
+                                     "auto") == "monte-carlo"
+        assert resolve_volume_method(ContinuousDomain(square, "l2", 0.2),
+                                     "grid") == "grid"
+        with pytest.raises(FanoError):
+            resolve_volume_method(ContinuousDomain(square, "l2", 0.2), "nope")
 
     def test_exact_refuses_curved_balls(self):
         dom = ContinuousDomain(((0.0, 1.0), (0.0, 1.0)), "l2", 0.2)
