@@ -24,12 +24,13 @@ from .distributions import (
 )
 from .divergences import (
     KL_ALPHA_BAND,
+    _binary_entropy_nats,
+    _binary_renyi_entropy_nats,
     _check_alpha,
     _check_prob,
     _ln_base,
     _scale,
     binary_entropy,
-    binary_renyi_entropy,
     conditional_entropy,
     entropy,
     mutual_information,
@@ -184,7 +185,7 @@ def _log_ratio(p_min: float, p_max: float) -> float:
 # -- core right-hand sides (nats) ------------------------------------------
 
 def _kl_rhs_nats(div: float, p: float, p_min: float, p_max: float) -> float:
-    return (div + binary_entropy(p) + math.log1p(-p_min)) / _log_ratio(p_min, p_max)
+    return (div + _binary_entropy_nats(p) + math.log1p(-p_min)) / _log_ratio(p_min, p_max)
 
 
 # Realizable inputs always have div + h_alpha(p) + ln(1 - p_min) >= 0, but at
@@ -200,7 +201,7 @@ def _renyi_rhs_nats(div: float, alpha: float, p: float,
     the exponent combination is negative beyond rounding (divergence too
     small for the window, so the cleared ratio would be negative)."""
     a1 = alpha - 1.0
-    a_val = div + binary_renyi_entropy(p, alpha) + math.log1p(-p_min)
+    a_val = div + _binary_renyi_entropy_nats(p, alpha) + math.log1p(-p_min)
     if a_val < 0.0:
         if a_val >= -RENYI_ZERO_BAND:
             return 0.0
@@ -352,7 +353,7 @@ def solve_diffusion(inputs: BoundInputs, tolerance: float = 1e-10) -> BoundRepor
         def g(p: float) -> float:
             # cleared-denominator feasibility margin; same sign as RHS(p) - p
             # wherever the RHS is defined, finite everywhere on [0, 1]
-            a_val = div_nats + binary_renyi_entropy(p, alpha) + math.log1p(-p_min)
+            a_val = div_nats + _binary_renyi_entropy_nats(p, alpha) + math.log1p(-p_min)
             try:
                 num = math.expm1(a1 * a_val)
             except OverflowError:

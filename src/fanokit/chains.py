@@ -77,19 +77,6 @@ class ChannelEstimator:
 
     channel: Channel
 
-    def row_index(self, y_tuple: tuple) -> int:
-        ins = self.channel.input_outcomes
-        try:
-            return ins.index(y_tuple)
-        except ValueError:
-            pass
-        if len(y_tuple) == 1:
-            try:
-                return ins.index(y_tuple[0])
-            except ValueError:
-                pass
-        raise FanoError(f"estimator: channel has no row for observation block {y_tuple!r}")
-
 
 @dataclass(frozen=True)
 class Experiment:
@@ -155,13 +142,16 @@ def _ml_picks(matrix: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     not occur contribute nothing, even where P(s | x) = 0. The terms are
     summed in sorted order, so likelihoods made of the same terms (blocks
     that permute each other, inputs whose rows permute each other) are
-    bit-for-bit equal and the tie rule applies.
+    bit-for-bit equal and the tie rule applies. The counts (the block's type)
+    decide, so each distinct type is evaluated once.
     """
-    counts = np.stack([(blocks == s).sum(axis=1) for s in range(matrix.shape[1])],
-                      axis=1)
+    small = np.min_scalar_type(blocks.shape[1])   # counts <= n; small keys sort fast
+    counts = np.stack([(blocks == s).sum(axis=1, dtype=small)
+                       for s in range(matrix.shape[1])], axis=1)
+    types, type_of = _distinct_blocks(counts)
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(counts > 0, counts * np.log(matrix)[:, None, :], 0.0)
-    return np.argmax(np.sort(terms, axis=2).sum(axis=2), axis=0)
+        terms = np.where(types > 0, types * np.log(matrix)[:, None, :], 0.0)
+    return np.argmax(np.sort(terms, axis=2).sum(axis=2), axis=0)[type_of]
 
 
 def _resolve_estimator(est, channel: Channel, blocks: np.ndarray):
@@ -189,7 +179,14 @@ def _resolve_estimator(est, channel: Channel, blocks: np.ndarray):
                 ) from None
         return est.output_labels, picks, None
     if isinstance(est, ChannelEstimator):
-        rows = [est.row_index(lab) for lab in labels]
+        ins = est.channel.input_outcomes
+        row_of = {(y,): i for i, y in enumerate(ins)} if blocks.shape[1] == 1 else {}
+        row_of.update((y, i) for i, y in enumerate(ins))   # whole blocks first
+        try:
+            rows = [row_of[lab] for lab in labels]
+        except KeyError as exc:
+            raise FanoError("estimator: channel has no row for observation block "
+                            f"{exc.args[0]!r}") from None
         return est.channel.output_outcomes, None, est.channel.matrix[rows]
     raise FanoError(f"estimator: unsupported estimator {est!r}")
 
@@ -241,11 +238,12 @@ def _distinct_blocks(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows of y in row-major order, and the index of each row of y
     among them. Sort-based, so it holds however large m^n gets."""
     order = np.lexsort(y.T[::-1])
+    y = y[order]
     first = np.ones(len(y), dtype=bool)
-    first[1:] = (y[order[1:]] != y[order[:-1]]).any(axis=1)
+    first[1:] = (y[1:] != y[:-1]).any(axis=1)
     index = np.empty(len(y), dtype=np.intp)
     index[order] = np.cumsum(first) - 1
-    return y[order[first]], index
+    return y[first], index
 
 
 def simulate_chain(exp: Experiment, trials: int, seed: int = 0) -> ChainSummary:

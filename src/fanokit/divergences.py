@@ -24,6 +24,9 @@ from .errors import (
 
 # orders within this band of 1 are routed to the KL limit form
 KL_ALPHA_BAND = 1e-9
+# below this many columns, per-column fsum costs less than _column_fsums'
+# fixed set-up of some 60 numpy calls (Monte Carlo chains sit below it)
+FSUM_LOOP_COLUMNS = 128
 
 
 def _ln_base(base: float) -> float:
@@ -158,32 +161,41 @@ def binary_kl(p: float, q: float, base: float = math.e) -> float:
     return _scale(_kl_nats(((p, q), (1.0 - p, 1.0 - q))), base)
 
 
+def _binary_entropy_nats(p: float) -> float:
+    """Shannon entropy of Bernoulli(p) in nats; p must already lie in [0, 1]."""
+    if p == 0.0 or p == 1.0:
+        return 0.0
+    return max(0.0, -p * math.log(p) - (1.0 - p) * math.log(1.0 - p))
+
+
+def _binary_renyi_entropy_nats(p: float, alpha: float) -> float:
+    """Order-alpha entropy of Bernoulli(p) in nats; p and alpha already checked."""
+    if p == 0.0 or p == 1.0:
+        return 0.0
+    if alpha == 1.0 or abs(alpha - 1.0) < KL_ALPHA_BAND:
+        return _binary_entropy_nats(p)
+    if alpha == 0.0:
+        return math.log(2.0)
+    if math.isinf(alpha):
+        return -math.log(max(p, 1.0 - p))
+    terms = (alpha * math.log(p), alpha * math.log(1.0 - p))
+    m = max(terms)
+    log_sum = m + math.log(math.fsum(math.exp(t - m) for t in terms))
+    return max(0.0, log_sum / (1.0 - alpha))
+
+
 def binary_renyi_entropy(p: float, alpha: float, base: float = math.e) -> float:
     """Order-alpha entropy of Bernoulli(p); 0 at p in {0, 1}."""
     p = _check_prob(p, "p")
     alpha = _check_alpha(alpha)
     _ln_base(base)
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    if alpha == 1.0 or abs(alpha - 1.0) < KL_ALPHA_BAND:
-        return binary_entropy(p, base)
-    if alpha == 0.0:
-        return _scale(math.log(2.0), base)
-    if math.isinf(alpha):
-        return _scale(-math.log(max(p, 1.0 - p)), base)
-    terms = (alpha * math.log(p), alpha * math.log(1.0 - p))
-    m = max(terms)
-    log_sum = m + math.log(math.fsum(math.exp(t - m) for t in terms))
-    return _scale(max(0.0, log_sum / (1.0 - alpha)), base)
+    return _scale(_binary_renyi_entropy_nats(p, alpha), base)
 
 
 def binary_entropy(p: float, base: float = math.e) -> float:
     p = _check_prob(p, "p")
     _ln_base(base)
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    nats = -p * math.log(p) - (1.0 - p) * math.log(1.0 - p)
-    return _scale(max(0.0, nats), base)
+    return _scale(_binary_entropy_nats(p), base)
 
 
 def entropy(dist: FiniteDistribution, base: float = math.e) -> float:
@@ -193,13 +205,48 @@ def entropy(dist: FiniteDistribution, base: float = math.e) -> float:
     return _scale(max(0.0, nats), base)
 
 
+def _two_sum(a, b):
+    """s = fl(a + b) and the exact rounding error e, so that a + b = s + e."""
+    s = a + b
+    b_virtual = s - a
+    return s, (a - (s - b_virtual)) + (b - b_virtual)
+
+
+def _column_fsums(W: np.ndarray) -> np.ndarray:
+    """math.fsum of every column of W, bit for bit; from FSUM_LOOP_COLUMNS
+    columns on, with no loop over columns.
+
+    Two TwoSum cascades down the rows leave each column's exact sum as
+    total + d + c, where |c| <= 2 lost (the 2 covers the rounding in lost
+    itself) and c = 0 where lost = 0. There fl(total + d) = total is the
+    correctly rounded sum that fsum returns. Elsewhere total still is,
+    unless d + c may reach half a spacing from it; such columns go to
+    math.fsum. Partial sums must be finite.
+    """
+    if W.shape[1] < FSUM_LOOP_COLUMNS:
+        return np.array([math.fsum(col) for col in W.T.tolist()])
+    s, err, lost = W[0], np.zeros(W.shape[1]), np.zeros(W.shape[1])
+    for row in W[1:]:
+        s, e1 = _two_sum(s, row)
+        err, e2 = _two_sum(err, e1)
+        lost += np.abs(e2)
+    total, d = _two_sum(s, err)
+    j = np.flatnonzero(lost)
+    t, lo, hi = total[j], d[j] - 2.0 * lost[j], d[j] + 2.0 * lost[j]
+    unsure = ((lo <= (np.nextafter(t, -np.inf) - t) / 2)
+              | (hi >= (np.nextafter(t, np.inf) - t) / 2))
+    for k in j[unsure].tolist():
+        total[k] = math.fsum(W[:, k].tolist())
+    return total
+
+
 def _mi_nats_from_matrix(W: np.ndarray) -> float:
     """Mutual information of a joint weight matrix, in nats.
 
     Rows/columns may carry zero mass; only strictly positive cells contribute.
     """
     r = np.array([math.fsum(row.tolist()) for row in W])
-    c = np.array([math.fsum(col.tolist()) for col in W.T])
+    c = _column_fsums(W)
     rows, cols = np.nonzero(W > 0)
     if rows.size == 0:
         return 0.0
@@ -220,6 +267,6 @@ def conditional_entropy(joint: JointDistribution, base: float = math.e) -> float
     _ln_base(base)
     W = np.asarray(joint.weights)
     h_joint = -math.fsum(w * math.log(w) for w in W.ravel().tolist() if w > 0)
-    c = [math.fsum(col.tolist()) for col in W.T]
+    c = _column_fsums(W).tolist()
     h_col = -math.fsum(w * math.log(w) for w in c if w > 0)
     return _scale(max(0.0, h_joint - h_col), base)

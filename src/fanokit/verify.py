@@ -14,7 +14,7 @@ from typing import Callable, Iterable
 
 from .bounds import _kl_rhs_nats, _renyi_rhs_nats
 from .distributions import FiniteDistribution
-from .divergences import KL_ALPHA_BAND, _kl_nats, _renyi_nats, kl_divergence
+from .divergences import KL_ALPHA_BAND, _check_prob, _kl_nats, _renyi_nats, kl_divergence
 from .errors import GridTooLarge, NumericalInstability
 
 MAX_SWEEP_INSTANCES = 5_000_000
@@ -61,13 +61,19 @@ def _compositions(total: int, parts: int, minimum: int):
 
 
 def _planned_instances(spec: SweepSpec) -> int:
+    """Instances the sweep runs (tight windows where its own float test holds);
+    once past the cap, the count so far: a lower bound."""
     d = spec.weight_grid_denominator
     total = 0
     for k in spec.outcome_counts:
-        n_p = math.comb(d + k - 1, k - 1)
-        n_q = math.comb(d - 1, k - 1)
-        events = 2 ** k - 2
-        total += n_p * n_q * events * 2 * (len(spec.alphas) + 1)
+        per_window = math.comb(d + k - 1, k - 1) * (len(spec.alphas) + 1)
+        total += per_window * math.comb(d - 1, k - 1) * (2 ** k - 2)
+        if total > MAX_SWEEP_INSTANCES:
+            return total
+        for q in _compositions(d, k, 1):
+            total += per_window * sum(
+                2.0 * math.fsum(q[i] / d for i in range(k) if mask >> i & 1) < 1.0
+                for mask in range(1, 2 ** k - 1))
     return total
 
 
@@ -85,7 +91,7 @@ def sweep_diffusion(spec: SweepSpec) -> SweepSummary:
     planned = _planned_instances(spec)
     if planned > MAX_SWEEP_INSTANCES:
         raise GridTooLarge(
-            f"sweep: {planned} planned instances exceed the cap {MAX_SWEEP_INSTANCES}"
+            f"sweep: at least {planned} planned instances exceed the cap {MAX_SWEEP_INSTANCES}"
         )
     for a in spec.alphas:
         if a == 1.0 or a <= 0.0 or math.isinf(a):
@@ -238,8 +244,8 @@ def verify_limit(P: FiniteDistribution, Q: FiniteDistribution,
         raise NumericalInstability(f"side: expected 'below' or 'above', got {side!r}")
     from .divergences import renyi_divergence
 
-    p_event = math.fsum(
-        w for x, w in zip(P.outcomes, P.weights.tolist()) if event(x))
+    p_event = _check_prob(math.fsum(
+        w for x, w in zip(P.outcomes, P.weights.tolist()) if event(x)), "p")
     kl_rhs = _kl_rhs_nats(kl_divergence(P, Q), p_event, p_min, p_max)
     rows = []
     for k in range(1, k_max + 1):

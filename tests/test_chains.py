@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import bsc, philox
 from fanokit import (
@@ -28,7 +29,12 @@ from fanokit import (
     simulate_chain,
     uniform_distribution,
 )
-from fanokit.chains import _distinct_blocks, estimator_from_json, experiment_from_json
+from fanokit.chains import (
+    _distinct_blocks,
+    _ml_picks,
+    estimator_from_json,
+    experiment_from_json,
+)
 from fanokit.errors import InconsistentBounds, StateSpaceTooLarge
 
 # mpmath, 50 digits: worst-pair divergence of the (0.9/0.2) asymmetric channel
@@ -146,6 +152,19 @@ class TestEstimators:
             with pytest.raises(FanoError, match="value 7 missing from output_labels"):
                 run()
 
+    def test_channel_estimator_rows_by_block_then_by_symbol(self):
+        # n = 1 looks a block up whole, then by its one symbol; n = 2 whole only
+        by_symbol = ChannelEstimator(Channel((0, 1), (0, 1), [[0.0, 1.0], [1.0, 0.0]]))
+        flip = enumerate_chain(Experiment(HALF, bsc(0.1), by_symbol, equality_relation()))
+        assert flip.p_rel == pytest.approx(0.1, abs=1e-12)
+        whole = ChannelEstimator(Channel(((0,), 1), (0, 1), [[1.0, 0.0], [0.0, 1.0]]))
+        keep = enumerate_chain(Experiment(HALF, bsc(0.1), whole, equality_relation()))
+        assert keep.p_rel == pytest.approx(0.9, abs=1e-12)
+        exp = Experiment(HALF, bsc(0.1), by_symbol, equality_relation(), n_samples=2)
+        for run in (lambda: enumerate_chain(exp), lambda: simulate_chain(exp, 100)):
+            with pytest.raises(FanoError, match=r"no row for observation block \(0, 0\)"):
+                run()
+
     def test_map_estimator_single_symbol_fallback(self):
         flip = MapEstimator({0: 1, 1: 0}, (0, 1))
         assert flip.lookup((0,)) == 1 and flip.lookup((1,)) == 0
@@ -203,6 +222,41 @@ def test_distinct_blocks_hold_past_int64_codes():
     blocks, index = _distinct_blocks(y)
     assert blocks.tolist() == [[0, 0, 0], [0, big, 1], [big, 0, 1]]
     assert (blocks[index] == y).all()
+
+
+def ml_picks_per_block(matrix, blocks):
+    """The per-block ML decision: every block's sorted terms, summed and
+    compared on their own (the reference for the per-type evaluation)."""
+    counts = np.stack([(blocks == s).sum(axis=1) for s in range(matrix.shape[1])],
+                      axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(counts > 0, counts * np.log(matrix)[:, None, :], 0.0)
+    return np.argmax(np.sort(terms, axis=2).sum(axis=2), axis=0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(2, 4), n=st.integers(1, 6), nx=st.integers(1, 4),
+       kind=st.sampled_from(["dirichlet", "permuted", "symmetric", "zeros"]),
+       seed=st.integers(0, 2 ** 31 - 1), subset=st.booleans())
+def test_ml_picks_per_type_match_the_per_block_reference(m, n, nx, kind, seed, subset):
+    rng = philox(seed)
+    if kind == "dirichlet":
+        matrix = rng.dirichlet(np.ones(m), size=nx)
+    elif kind == "permuted":              # rows permute each other: exact ties
+        row = rng.dirichlet(np.ones(m))
+        matrix = np.stack([rng.permutation(row) for _ in range(nx)])
+    elif kind == "symmetric":             # m-ary symmetric rows, repeated past m
+        stay = float(rng.uniform(0.3, 0.9))
+        matrix = np.array([[stay if x % m == y else (1 - stay) / (m - 1)
+                            for y in range(m)] for x in range(nx)])
+    else:                                 # impossible symbols and tied zeros
+        matrix = rng.dirichlet(np.ones(m), size=nx)
+        matrix[rng.random((nx, m)) < 0.3] = 0.0
+        matrix[:, 0] += 1.0 - matrix.sum(axis=1)
+    blocks = np.indices((m,) * n).reshape(n, -1).T
+    if subset:                            # Monte Carlo: some blocks, any order
+        blocks = blocks[rng.permutation(len(blocks))[:max(1, len(blocks) // 3)]]
+    assert np.array_equal(_ml_picks(matrix, blocks), ml_picks_per_block(matrix, blocks))
 
 
 def test_monte_carlo_plug_in_information_matches_a_counting_reference():

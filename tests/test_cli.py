@@ -1,4 +1,5 @@
 """Command-line interface: parsing, formats, exit codes, determinism."""
+import itertools
 import json
 import math
 import os
@@ -277,6 +278,33 @@ CHANNEL_EXPERIMENT = json.dumps(dict(TestCertify.EXPERIMENT, estimator={
     "kind": "channel", "channel": {
         "inputs": [0, 1, 2], "outputs": [0, 1, 2],
         "rows": [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]}}))
+ROWS4 = [[0.7, 0.1, 0.1, 0.1], [0.2, 0.6, 0.1, 0.1],
+         [0.1, 0.2, 0.5, 0.2], [0.05, 0.05, 0.2, 0.7]]
+
+
+def chain4(n, estimator, relation):
+    """A 4-symbol chain with n uses; map and channel estimators are fixed
+    functions of the block, so the JSON stays deterministic at any n."""
+    blocks = [list(b) for b in itertools.product(range(4), repeat=n)]
+    if relation == "distance":
+        labels, weights = DISTANCE_LABELS, [0.25] * 4
+        rel = {"kind": "distance", "metric": "abs", "t": 1.0}
+    else:
+        labels, weights = [0, 1, 2, 3], [0.4, 0.3, 0.2, 0.1]
+        rel = {"kind": "equality"}
+    est = {"kind": estimator}
+    if estimator == "map":
+        est.update(outputs=labels, pairs=[[b, labels[(3 * sum(b) + b[0]) % 4]]
+                                          for b in blocks])
+    elif estimator == "channel":
+        est["channel"] = {"inputs": blocks, "outputs": labels,
+                          "rows": [ROWS4[(sum(b) + b[-1]) % 4] for b in blocks]}
+    return json.dumps({
+        "prior": {"outcomes": labels, "weights": weights},
+        "channel": {"inputs": labels, "outputs": [0, 1, 2, 3], "rows": ROWS4},
+        "estimator": est, "relation": rel, "n": n})
+
+
 UNIT_INTERVAL = '{"box": [[0, 1]], "metric": "abs", "t": 0.1}'
 UNIT_DISC = '{"box": [[0, 1], [0, 1]], "metric": "l2", "t": 0.2}'
 
@@ -304,6 +332,12 @@ GOLDEN_CASES = {
     "certify-exact": (["certify", EXACT_EXPERIMENT, "--n", "2"], 0),
     "certify-exact-base2": (["certify", EXACT_EXPERIMENT, "--base", "2"], 0),
     "certify-exact-distance": (["certify", DISTANCE_EXPERIMENT], 0),
+    "certify-exact-ml-n6": (["certify", chain4(6, "ml", "equality")], 0),
+    "certify-exact-ml-n6-distance": (["certify", chain4(6, "ml", "distance")], 0),
+    "certify-exact-map-n4": (["certify", chain4(4, "map", "equality")], 0),
+    "certify-exact-channel-n3": (["certify", chain4(3, "channel", "distance")], 0),
+    # one channel row per block: 4^6 rows to resolve
+    "certify-exact-channel-n6": (["certify", chain4(6, "channel", "equality")], 0),
     "certify-mc": (["certify", EXACT_EXPERIMENT, "--trials", "4000", "--seed", "3"], 0),
     "certify-mc-map": (["certify", DISTANCE_EXPERIMENT, "--trials", "3000",
                         "--seed", "1"], 0),

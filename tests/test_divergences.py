@@ -4,8 +4,9 @@ Reference values were computed once with mpmath at 50 digits and frozen.
 """
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import dirichlet_pair
 from fanokit import (
@@ -21,6 +22,12 @@ from fanokit import (
     mutual_information,
     renyi_divergence,
     uniform_distribution,
+)
+from fanokit.divergences import (
+    FSUM_LOOP_COLUMNS,
+    _binary_entropy_nats,
+    _binary_renyi_entropy_nats,
+    _column_fsums,
 )
 from fanokit.errors import MismatchedOutcomeSets, NegativeAlpha, OutOfRangeProbability
 
@@ -184,3 +191,47 @@ def test_event_level_binary_reduction_spot_check():
         coarse = binary_renyi_divergence(0.5, 0.2, alpha)
         assert full >= coarse - 1e-12
     assert kl_divergence(P, Q) >= binary_kl(0.5, 0.2) - 1e-12
+
+
+# -- vectorised column sums and the check-free entropy helpers -----------------
+
+def _ties():
+    # multiples of 2^-4, some moved by an ulp: sums land on and beside the
+    # midpoints between neighbouring floats
+    return st.builds(lambda k, step: np.nextafter(k / 16.0, np.inf * step)
+                     if step else k / 16.0,
+                     st.integers(-64, 64), st.sampled_from([-1, 0, 1]))
+
+
+COLUMN_ENTRIES = st.one_of(
+    st.floats(0.0, 1.0),
+    st.floats(-1e300, 1e300),
+    _ties(),
+    st.floats(-1e-307, 1e-307),                  # subnormals and their neighbours
+    st.sampled_from([0.0, -0.0, 2.0 ** -53, 2.0 ** -106, 1.0]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda rows: st.lists(
+    st.lists(COLUMN_ENTRIES, min_size=rows, max_size=rows), min_size=1, max_size=12)))
+@example([[1.0, 2.0 ** -53, 2.0 ** -106]])      # s + err is a tie; the rest breaks it
+@example([[0.0, -0.0], [-0.0, -0.0]])
+def test_column_fsums_equal_fsum_bitwise(columns):
+    # repeated past the loop threshold, so the vector path sums them
+    columns = columns * (FSUM_LOOP_COLUMNS // len(columns) + 1)
+    W = np.array(columns, dtype=float).T
+    want = np.array([math.fsum(col) for col in columns])
+    assert np.array_equal(_column_fsums(W).view(np.int64), want.view(np.int64))
+
+
+SWEEP_ORDERS = (0.25, 0.5, 2.0, 4.0)
+
+
+@pytest.mark.parametrize("alpha", SWEEP_ORDERS + (0.0, 1.0, 1.0 + 1e-10, math.inf))
+def test_private_entropy_helpers_equal_the_public_functions_bitwise(alpha):
+    grid = [i / 1024 for i in range(1025)] + [1e-300, 1e-17, 1.0 - 1e-16]
+    for p in grid:
+        assert _binary_entropy_nats(p).hex() == binary_entropy(p).hex()
+        assert (_binary_renyi_entropy_nats(p, alpha).hex()
+                == binary_renyi_entropy(p, alpha).hex())

@@ -13,6 +13,7 @@ from fanokit import (
     verify_support_bound,
 )
 from fanokit.errors import GridTooLarge, NumericalInstability
+from fanokit.verify import _planned_instances
 
 
 class TestSweep:
@@ -46,6 +47,17 @@ class TestSweep:
         with pytest.raises(GridTooLarge):
             sweep_diffusion(SweepSpec(outcome_counts=(4, 5),
                                       weight_grid_denominator=64))
+
+    @pytest.mark.parametrize("counts, d, alphas", [
+        ((2, 3), 4, (0.5, 2.0)), ((3,), 6, (0.25,)), ((2, 3, 4), 6, (2.0,)),
+        ((4,), 8, ()), ((2, 2), 10, (0.5, 4.0)), ((2,), 1, (0.5,))])
+    def test_the_plan_counts_the_instances_the_sweep_runs(self, counts, d, alphas):
+        spec = SweepSpec(outcome_counts=counts, weight_grid_denominator=d,
+                         alphas=alphas)
+        assert _planned_instances(spec) == sweep_diffusion(spec).instances
+
+    def test_the_default_plan_counts_tight_windows_only_where_they_run(self):
+        assert _planned_instances(SweepSpec()) == 615_600
 
     @pytest.mark.parametrize("alpha", [1.0, 0.0, math.inf, -2.0])
     def test_unusable_orders_are_refused(self, alpha):
