@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("domain", help="domain description (JSON or path)")
     p.add_argument("--method", choices=("auto", "exact", "monte-carlo", "grid"),
                    default="auto")
-    p.add_argument("--samples", type=int, default=65536, help="draws per center")
+    p.add_argument("--samples", type=int, default=65536, help="Monte Carlo draws")
     p.add_argument("--resolution", type=int, default=64, help="grid cells per axis")
     _add_common(p)
     return parser

@@ -238,7 +238,7 @@ class Channel:
         }
 
 
-def product_channel(channel: Channel, n: int, cap: int = DEFAULT_STATE_CAP) -> Channel:
+def product_channel(channel: Channel, n: int) -> Channel:
     """n-fold memoryless extension; output labels are n-tuples.
 
     n = 1 returns the channel unchanged (original labels, not 1-tuples).
@@ -248,10 +248,9 @@ def product_channel(channel: Channel, n: int, cap: int = DEFAULT_STATE_CAP) -> C
     if n == 1:
         return channel
     m = len(channel.output_outcomes)
-    if m ** n > cap:
-        raise StateSpaceTooLarge(
-            "n: product output space %d^%d exceeds the %d-state cap" % (m, n, cap)
-        )
+    if m ** n > DEFAULT_STATE_CAP:
+        raise StateSpaceTooLarge("n: product output space %d^%d exceeds the %d-state cap"
+                                 % (m, n, DEFAULT_STATE_CAP))
     outputs = tuple(itertools.product(channel.output_outcomes, repeat=n))
     return Channel(channel.input_outcomes, outputs, _kron_rows(channel.matrix, n))
 

@@ -184,9 +184,8 @@ def ball_counts(rho: Callable[[Any, Any], float], t: float,
 
 # -- continuous domains -----------------------------------------------------
 
-LANDMARKS_PER_AXIS = 64
-
 _VECTOR_METRICS = {
+    "abs": lambda diff: np.abs(diff).sum(axis=1),
     "l1": lambda diff: np.abs(diff).sum(axis=1),
     "l2": lambda diff: np.sqrt((diff * diff).sum(axis=1)),
     "linf": lambda diff: np.abs(diff).max(axis=1),
@@ -198,12 +197,13 @@ class ContinuousDomain:
     """Axis-aligned box with a metric and a radius for distance events.
 
     box: sequence of (lo, hi) per axis, finite with hi > lo.
-    metric: one of "l1", "l2", "linf", "abs" (1-d only) or a callable on
-    point tuples. t: ball radius >= 0.
+    metric: the name of a norm, "l1", "l2", "linf" or "abs" (1-d only);
+    sup_ball_volume relies on every ball being symmetric and convex.
+    t: ball radius >= 0.
     """
 
     box: tuple
-    metric: Any
+    metric: str
     t: float
 
     def __post_init__(self):
@@ -218,13 +218,12 @@ class ContinuousDomain:
         t = float(self.t)
         if math.isnan(t) or t < 0:
             raise OutOfRangeProbability(f"t: radius must be >= 0, got {t!r}")
-        if isinstance(self.metric, str):
-            if self.metric == "abs" and len(box) != 1:
-                raise UnsupportedMetricForExact("metric: 'abs' applies to 1-d boxes only")
-            if self.metric not in ("abs", "l1", "l2", "linf"):
-                raise FanoError(f"metric: unknown metric name {self.metric!r}")
-        elif not callable(self.metric):
-            raise FanoError("metric: expected a name or a callable")
+        if not isinstance(self.metric, str):
+            raise FanoError(f"metric: expected a metric name, got {self.metric!r}")
+        if self.metric == "abs" and len(box) != 1:
+            raise UnsupportedMetricForExact("metric: 'abs' applies to 1-d boxes only")
+        if self.metric not in _VECTOR_METRICS:
+            raise FanoError(f"metric: unknown metric name {self.metric!r}")
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "t", t)
 
@@ -239,38 +238,12 @@ class ContinuousDomain:
 
 def _point_distances(domain: ContinuousDomain, points: np.ndarray,
                      center: np.ndarray) -> np.ndarray:
-    metric = domain.metric
-    if isinstance(metric, str):
-        key = "l1" if metric == "abs" else metric
-        return _VECTOR_METRICS[key](points - center)
-    center_t = tuple(center.tolist())
-    return np.array([metric(tuple(p), center_t) for p in points.tolist()])
-
-
-def _landmark_centers(domain: ContinuousDomain, per_axis: int) -> np.ndarray:
-    """Deterministic center set: per-axis grid, then box center and corners."""
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in domain.box]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, domain.dimension)
-    extras = [np.array([(lo + hi) / 2.0 for lo, hi in domain.box])]
-    for corner in np.stack(
-        np.meshgrid(*[np.array([lo, hi]) for lo, hi in domain.box], indexing="ij"),
-        axis=-1,
-    ).reshape(-1, domain.dimension):
-        extras.append(corner)
-    seen = {tuple(c) for c in grid.tolist()}
-    keep = [grid]
-    for c in extras:
-        key = tuple(c.tolist())
-        if key not in seen:
-            seen.add(key)
-            keep.append(c.reshape(1, -1))
-    return np.concatenate(keep, axis=0)
+    return _VECTOR_METRICS[domain.metric](points - center)
 
 
 def _has_exact_volume(domain: ContinuousDomain) -> bool:
     """The closed form covers the sup-metric and any named metric in 1-d."""
-    return isinstance(domain.metric, str) and (
-        domain.metric == "linf" or domain.dimension == 1)
+    return domain.metric == "linf" or domain.dimension == 1
 
 
 def resolve_volume_method(domain: ContinuousDomain, method: str) -> str:
@@ -288,66 +261,59 @@ def sup_ball_volume(domain: ContinuousDomain, method: str = "auto",
                     resolution: int = 64) -> tuple[float, float]:
     """Largest volume of a radius-t ball intersected with the box.
 
-    Returns (value, error_estimate). The supremum over centers is approximated
-    by a deterministic landmark set: a uniform grid of LANDMARKS_PER_AXIS
-    centers per axis plus the box center and corners. resolve_volume_method
-    says which method runs.
+    Returns (value, error_estimate); resolve_volume_method says which method
+    runs. The supremum over centers c of f(c) = vol(B(c, t) & box) is f at
+    the box center: f is the convolution of the indicators of the ball and of
+    the box, both log-concave because both sets are convex, so f is
+    log-concave (Prekopa 1973). f is also symmetric about the box center, and
+    a log-concave function symmetric about a point is largest there. So the
+    estimators evaluate one ball, at the box center c.
+
+    They integrate over the hull H = box & [c - t, c + t]^d, which holds every
+    named ball at c; vol(H) is exact.
 
     exact: closed form, error 0. Available for the sup-metric in any
-    dimension and for any named metric on a 1-d box.
+    dimension (its ball at c is H) and for any named metric on a 1-d box.
 
-    monte-carlo: per-center uniform sampling with an independent
-    counter-based stream keyed by (seed, center index); `samples` draws per
-    center; error is the binomial standard error at the maximizing center.
+    monte-carlo: `samples` uniform draws in H from one counter-based stream
+    keyed by `seed`; the value is the hit fraction times vol(H), the error
+    the binomial standard error.
 
-    grid: midpoint rule with `resolution` cells per axis; the error estimate
-    is the heuristic boundary-layer volume vol(box) * d * 2 / resolution.
+    grid: midpoint rule with `resolution` cells per axis of H; the error
+    estimate is the heuristic boundary-layer volume vol(H) * d * 2 / resolution.
     """
     method = resolve_volume_method(domain, method)
+    widths = [min(2.0 * domain.t, hi - lo) for lo, hi in domain.box]
+    hull_vol = math.prod(widths)
     if method == "exact":
         if not _has_exact_volume(domain):
             raise UnsupportedMetricForExact(
                 "method: exact volume needs the sup-metric or a 1-d box"
             )
-        return math.prod(min(2.0 * domain.t, hi - lo) for lo, hi in domain.box), 0.0
+        return hull_vol, 0.0
 
     if domain.t == 0.0:
         return 0.0, 0.0
-    lo = np.array([a for a, _ in domain.box])
-    width = np.array([b - a for a, b in domain.box])
-    box_vol = domain.volume
-    centers = _landmark_centers(domain, LANDMARKS_PER_AXIS)
-
+    dim = domain.dimension
+    center = np.array([(lo + hi) / 2.0 for lo, hi in domain.box])
+    hull_width = np.array(widths)
+    hull_lo = center - hull_width / 2.0
     if method == "monte-carlo":
         if samples < 1:
-            raise FanoError("samples: need at least one draw per center")
-        best_frac = -1.0
-        for i, center in enumerate(centers):
-            rng = np.random.Generator(np.random.Philox(key=[seed, i]))
-            pts = lo + width * rng.random((samples, domain.dimension))
-            frac = float(np.count_nonzero(
-                _point_distances(domain, pts, center) <= domain.t)) / samples
-            if frac > best_frac:
-                best_frac = frac
-        value = best_frac * box_vol
-        error = box_vol * math.sqrt(best_frac * (1.0 - best_frac) / samples)
-        return value, error
-
-    # midpoint-rule grid
-    if resolution < 2:
-        raise FanoError("resolution: need at least 2 cells per axis")
-    axes = [a + (np.arange(resolution) + 0.5) * (w / resolution)
-            for a, w in zip(lo, width)]
-    cells = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, domain.dimension)
-    cell_vol = box_vol / (resolution ** domain.dimension)
-    best = 0
-    for center in centers:
-        inside = int(np.count_nonzero(_point_distances(domain, cells, center) <= domain.t))
-        if inside > best:
-            best = inside
-    value = best * cell_vol
-    error = box_vol * domain.dimension * 2.0 / resolution
-    return value, error
+            raise FanoError("samples: need at least one draw")
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        points = hull_lo + hull_width * rng.random((samples, dim))
+    else:
+        if resolution < 2:
+            raise FanoError("resolution: need at least 2 cells per axis")
+        axes = [a + (np.arange(resolution) + 0.5) * (w / resolution)
+                for a, w in zip(hull_lo, hull_width)]
+        points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+    inside = int(np.count_nonzero(_point_distances(domain, points, center) <= domain.t))
+    frac = inside / len(points)
+    if method == "monte-carlo":
+        return frac * hull_vol, hull_vol * math.sqrt(frac * (1.0 - frac) / samples)
+    return frac * hull_vol, hull_vol * dim * 2.0 / resolution
 
 
 # -- JSON parsing -----------------------------------------------------------

@@ -430,7 +430,9 @@ class TestContinuous:
         assert r.feasible_sup == pytest.approx(0.5693234419266069, abs=1e-12)
 
     def test_monte_carlo_volume_reports_an_interval(self):
-        r = continuous_fano_bound(0.0, self.dom, p_t=0.6,
+        # on an interval Monte Carlo is exact; the disc still samples
+        disc = ContinuousDomain(((0.0, 1.0), (0.0, 1.0)), "l2", 0.2)
+        r = continuous_fano_bound(0.0, disc, p_t=0.6,
                                   volume_method="monte-carlo", samples=4096)
         assert "standard error" in r.notes
         assert "monte-carlo" in r.notes

@@ -158,7 +158,7 @@ class TestProductChannel:
     def test_state_cap(self):
         ch = Channel((0, 1), (0, 1, 2, 3), [[0.25] * 4, [0.25] * 4])
         with pytest.raises(StateSpaceTooLarge):
-            product_channel(ch, 12, cap=10 ** 6)
+            product_channel(ch, 12)
 
     def test_long_products_stay_normalized(self):
         # repeated outer products drift a little; must stay inside the row

@@ -1,7 +1,9 @@
 """Reconstruction relations, metrics, and ball volumes."""
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fanokit import (
     ContinuousDomain,
@@ -149,28 +151,28 @@ class TestContinuousVolumes:
         assert sup_ball_volume(dom, method="exact") == (0.0, 0.0)
 
     def test_grid_frozen_value_and_error_bar(self):
+        # in 1-d the grid spans the ball itself, so every midpoint is inside
         dom = ContinuousDomain(((0.0, 1.0),), "abs", 0.1)
-        assert sup_ball_volume(dom, method="grid", resolution=128) == (
-            0.203125,
-            0.015625,
-        )
+        exact, _ = sup_ball_volume(dom, method="exact")
+        assert exact == 0.2
+        assert sup_ball_volume(dom, method="grid", resolution=128) == (exact, 0.003125)
 
     def test_monte_carlo_is_deterministic(self):
-        dom = ContinuousDomain(((0.0, 1.0),), "abs", 0.1)
+        dom = ContinuousDomain(((0.0, 1.0), (0.0, 1.0)), "l2", 0.2)
         one = sup_ball_volume(dom, method="monte-carlo", samples=4096, seed=0)
         two = sup_ball_volume(dom, method="monte-carlo", samples=4096, seed=0)
-        assert one == two == (0.217529296875, 0.0064463361284889525)
+        assert one == two == (0.1260546875, 0.001022090688160092)
         other = sup_ball_volume(dom, method="monte-carlo", samples=4096, seed=1)
         assert other != one
 
     def test_monte_carlo_error_shrinks_like_root_n(self):
-        dom = ContinuousDomain(((0.0, 1.0),), "abs", 0.1)
+        dom = ContinuousDomain(((0.0, 1.0), (0.0, 1.0)), "l2", 0.2)
         _, e1 = sup_ball_volume(dom, method="monte-carlo", samples=4096, seed=0)
         _, e2 = sup_ball_volume(dom, method="monte-carlo", samples=4 * 4096, seed=0)
         assert 1.5 < e1 / e2 < 2.5
 
     def test_monte_carlo_euclidean_disc(self):
-        # interior ball area is pi t^2; the landmark sup sits within noise of it
+        # interior ball area is pi t^2; the center estimate sits within noise of it
         t = 0.2
         dom = ContinuousDomain(((0.0, 1.0), (0.0, 1.0)), "l2", t)
         v, e = sup_ball_volume(dom, method="monte-carlo", samples=8192, seed=5)
@@ -180,9 +182,131 @@ class TestContinuousVolumes:
         dom = ContinuousDomain(((0.0, 1.0),), "abs", 0.1)
         exact, _ = sup_ball_volume(dom, method="exact")
         grid, gerr = sup_ball_volume(dom, method="grid", resolution=256)
-        mc, merr = sup_ball_volume(dom, method="monte-carlo", samples=32768, seed=2)
         assert abs(grid - exact) <= gerr
-        assert abs(mc - exact) <= 5 * merr
+        # Monte Carlo is exact on an interval; the disc still samples
+        disc = ContinuousDomain(((0.0, 1.0), (0.0, 1.0)), "l2", 0.2)
+        mc, merr = sup_ball_volume(disc, method="monte-carlo", samples=32768, seed=2)
+        assert abs(mc - math.pi * 0.2 * 0.2) <= 5 * merr
+
+    def test_metrics_are_names(self):
+        with pytest.raises(FanoError):
+            ContinuousDomain(((0.0, 1.0),), lambda a, b: abs(a[0] - b[0]), 0.1)
+        with pytest.raises(FanoError):
+            ContinuousDomain(((0.0, 1.0),), "manhattan-ish", 0.1)
+
+
+# -- the one-center estimate against a scan over centers ----------------------
+
+def _box(draw):
+    d = draw(st.integers(1, 3))
+    lows = draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d))
+    widths = draw(st.lists(st.floats(0.5, 2.0), min_size=d, max_size=d))
+    return tuple((a, a + w) for a, w in zip(lows, widths))
+
+
+@st.composite
+def _domains_and_centers(draw, metrics):
+    box = _box(draw)
+    metric = draw(st.sampled_from(metrics))
+    # from a sliver up to well past the half-width of every axis
+    t = draw(st.floats(0.01, 1.5))
+    fracs = draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=len(box),
+                                   max_size=len(box)), min_size=1, max_size=6))
+    centers = np.array([[lo + f * (hi - lo) for f, (lo, hi) in zip(row, box)]
+                        for row in fracs])
+    return ContinuousDomain(box, metric, t), centers
+
+
+def _box_center(dom):
+    return np.array([(lo + hi) / 2.0 for lo, hi in dom.box])
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_domains_and_centers(("linf",)))
+def test_linf_box_center_is_never_beaten(case):
+    dom, centers = case
+    lo, hi = np.array(dom.box).T
+
+    def overlap(c):
+        # closed form of vol(B(c, t) & box) for the sup-metric
+        return float(np.prod(np.maximum(
+            0.0, np.minimum(c + dom.t, hi) - np.maximum(c - dom.t, lo))))
+
+    best = overlap(_box_center(dom))
+    exact, _ = sup_ball_volume(dom, method="exact")
+    assert exact == pytest.approx(best, rel=1e-12)
+    for c in centers:
+        assert overlap(c) <= best * (1.0 + 1e-12)
+    # the sup-metric ball at the box center is the hull the grid spans
+    assert sup_ball_volume(dom, method="grid", resolution=8) == (
+        exact, exact * dom.dimension * 2.0 / 8)
+
+
+LATTICE_PER_AXIS = {1: 512, 2: 96, 3: 24}
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_domains_and_centers(("l1", "l2")))
+def test_curved_box_center_is_never_beaten(case):
+    dom, centers = case
+    d = dom.dimension
+    res = LATTICE_PER_AXIS[d]
+    lo, hi = np.array(dom.box).T
+    h = (hi - lo) / res
+    axes = [a + (np.arange(res) + 0.5) * s for a, s in zip(lo, h)]
+    lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    norm = {"l1": lambda v: np.abs(v).sum(axis=1),
+            "l2": lambda v: np.sqrt((v * v).sum(axis=1))}[dom.metric]
+    # farthest a point of a lattice cell is from its midpoint
+    delta = float(norm((h / 2.0).reshape(1, -1))[0])
+    cell = float(np.prod(h))
+    center = _box_center(dom)
+
+    def count(c, radius):
+        return int(np.count_nonzero(norm(lattice - c) <= radius + 1e-12))
+
+    # a cell whose midpoint is within t of c lies in B(c, t + delta), and the
+    # cells meeting B(center, t + delta) have midpoints within t + 2 delta
+    for c in centers:
+        assert count(c, dom.t) <= count(center, dom.t + 2.0 * delta)
+    # the volume at the box center lies in [inner, outer] lattice counts
+    inner = count(center, dom.t - delta) * cell
+    outer = count(center, dom.t + delta) * cell
+    grid, gerr = sup_ball_volume(dom, method="grid", resolution=24)
+    assert inner - gerr <= grid <= outer + gerr
+    samples = 4096
+    mc, merr = sup_ball_volume(dom, method="monte-carlo", samples=samples, seed=3)
+    hull = math.prod(min(2.0 * dom.t, b - a) for a, b in dom.box)
+    # with (nearly) every draw inside, the standard error is (nearly) zero
+    slack = 5.0 * merr + 10.0 * hull / samples
+    assert inner - slack <= mc <= outer + slack
+
+
+def _ball_volume(metric, d, t):
+    if metric == "l2":
+        return math.pi ** (d / 2.0) * t ** d / math.gamma(d / 2.0 + 1.0)
+    if metric == "linf":
+        return (2.0 * t) ** d
+    return (2.0 * t) ** d / math.factorial(d)
+
+
+@st.composite
+def _fitting_balls(draw):
+    box = _box(draw)
+    metric = draw(st.sampled_from(("abs", "l1", "l2", "linf") if len(box) == 1
+                                  else ("l1", "l2", "linf")))
+    half = min(hi - lo for lo, hi in box) / 2.0
+    return ContinuousDomain(box, metric, draw(st.floats(0.01, 1.0)) * half)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_fitting_balls())
+def test_estimators_match_the_ball_volume_when_the_ball_fits(dom):
+    exact = _ball_volume(dom.metric, dom.dimension, dom.t)
+    grid, gerr = sup_ball_volume(dom, method="grid", resolution=32)
+    assert abs(grid - exact) <= gerr
+    mc, merr = sup_ball_volume(dom, method="monte-carlo", samples=4096, seed=1)
+    assert abs(mc - exact) <= 5.0 * merr + 1e-12 * exact
 
 
 class TestJsonLoaders:
