@@ -8,6 +8,10 @@ Two slack conventions, one rule. For upper-bound checks (observed <= bound)
 slack = bound_value - observed; for lower-bound checks (observed >= bound,
 the distance/continuous exceedance bounds) slack = observed - bound_value.
 Either way a report holds iff slack >= -solver_tolerance.
+
+The counting and the continuous exceedance bounds (mi_distance_bound,
+continuous_fano_bound) are one inequality under two measures, counting
+measure and volume; both evaluate it through _exceedance_bound.
 """
 from __future__ import annotations
 
@@ -61,6 +65,10 @@ from .relations import (
 
 SOLVE_GRID_POINTS = 1024
 UNIFORM_TOLERANCE = 1e-12
+# bisection width of every solver: solve_diffusion and the exceedance bounds
+SOLVE_TOLERANCE = 1e-10
+# solver_tolerance of the entropy-valued checks (entropy-version, distance)
+ENTROPY_CHECK_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -316,7 +324,7 @@ def _bisect_boundary(g, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def solve_diffusion(inputs: BoundInputs, tolerance: float = 1e-10) -> BoundReport:
+def solve_diffusion(inputs: BoundInputs) -> BoundReport:
     """Largest p consistent with the self-referential bound p <= RHS(p).
 
     Scans a uniform grid, refines every sign change by bisection, and returns
@@ -331,7 +339,7 @@ def solve_diffusion(inputs: BoundInputs, tolerance: float = 1e-10) -> BoundRepor
     if math.isinf(div):
         return BoundReport(
             mode="solve", bound_value=1.0, feasible_sup=1.0,
-            solver_tolerance=tolerance,
+            solver_tolerance=SOLVE_TOLERANCE,
             notes="divergence is infinite; every p is feasible (vacuous)",
             alpha="kl" if is_kl else alpha, p_min=p_min, p_max=p_max,
             divergence=inputs.divergence,
@@ -371,7 +379,7 @@ def solve_diffusion(inputs: BoundInputs, tolerance: float = 1e-10) -> BoundRepor
         sup = None
         for i in range(SOLVE_GRID_POINTS - 2, -1, -1):
             if feasible[i]:
-                sup = _bisect_boundary(g, i * step, (i + 1) * step, tolerance)
+                sup = _bisect_boundary(g, i * step, (i + 1) * step, SOLVE_TOLERANCE)
                 break
         if sup is None:
             raise NoFeasiblePoint(
@@ -381,7 +389,7 @@ def solve_diffusion(inputs: BoundInputs, tolerance: float = 1e-10) -> BoundRepor
             )
     return BoundReport(
         mode="solve", bound_value=sup, feasible_sup=sup,
-        solver_tolerance=tolerance, notes="",
+        solver_tolerance=SOLVE_TOLERANCE, notes="",
         alpha="kl" if is_kl else alpha, p_min=p_min, p_max=p_max,
         divergence=inputs.divergence,
     )
@@ -445,8 +453,7 @@ def fano_relation_bound(joint: JointDistribution, rel: Relation,
 
 def entropy_version_bound(joint: JointDistribution, rel: Relation,
                           bounds: RelationBounds | None = None,
-                          base: float = math.e,
-                          tolerance: float = 1e-10) -> BoundReport:
+                          base: float = math.e) -> BoundReport:
     """Upper bound on H(X | Xhat) needing no occupancy-window sum condition."""
     if bounds is None:
         bounds = _default_bounds(joint, rel)
@@ -457,7 +464,7 @@ def entropy_version_bound(joint: JointDistribution, rel: Relation,
     rhs_b, obs_b = _scale(rhs, base), _scale(observed, base)
     return BoundReport(
         mode="check", bound_value=rhs_b, observed=obs_b, slack=rhs_b - obs_b,
-        solver_tolerance=tolerance,
+        solver_tolerance=ENTROPY_CHECK_TOLERANCE,
         notes="conditional-entropy form; no window-sum hypothesis",
         alpha="entropy", p_min=bounds.p_min, p_max=bounds.p_max,
     )
@@ -531,8 +538,7 @@ def _check_uniform_rows(joint: JointDistribution) -> int:
 
 
 def distance_fano_bound(joint: JointDistribution, rho, t: float,
-                        base: float = math.e,
-                        tolerance: float = 1e-10) -> BoundReport:
+                        base: float = math.e) -> BoundReport:
     """Distance bound for a uniform source reconstructed on its own
     alphabet: a closed-form function of P(rho > t) dominates H(X | Xhat).
 
@@ -574,22 +580,65 @@ def distance_fano_bound(joint: JointDistribution, rho, t: float,
     lhs_b, obs_b = _scale(lhs, base), _scale(observed, base)
     return BoundReport(
         mode="check", bound_value=lhs_b, observed=obs_b, slack=lhs_b - obs_b,
-        solver_tolerance=tolerance, notes=notes,
+        solver_tolerance=ENTROPY_CHECK_TOLERANCE, notes=notes,
         alpha="entropy", p_min=n_min / m, p_max=n_max / m,
     )
 
 
-def _concave_crossing(g, tolerance: float) -> float:
+def _concave_crossing(g) -> float:
     """Infimum of {q in [0,1] : g(q) >= 0} for concave g with g(1) >= 0."""
     if g(0.0) >= 0.0:
         return 0.0
-    return _bisect_boundary(lambda q: -g(q), 0.0, 1.0, tolerance)
+    return _bisect_boundary(lambda q: -g(q), 0.0, 1.0, SOLVE_TOLERANCE)
+
+
+def _exceedance_threshold(mi_nats: float, variant: str, log_ratio: float,
+                          q: float) -> float:
+    """1 - (I + offset) / ln(measure ratio); the offset is ln 2 for variant
+    "log2" and h(q) for "entropy"."""
+    offset = math.log(2.0) if variant == "log2" else binary_entropy(q)
+    return 1.0 - (mi_nats + offset) / log_ratio
+
+
+def _exceedance_bound(mi_nats: float, log_ratio: float, variant: str, p_t,
+                      mode: str, tolerance: float, notes, **echo) -> BoundReport:
+    """The exceedance bound P(rho > t) >= threshold(P(rho > t)) under any
+    measure: log_ratio is ln(total measure / largest ball measure).
+
+    check mode compares the observed p_t (slack = p_t - bound). solve mode
+    stores the infimum of the self-consistent set {q : q >= threshold(q)} in
+    feasible_sup: in closed form for "log2", by bisection of the concave
+    q - threshold(q) for "entropy". An infinite mutual information makes the
+    bound -inf (check) and the infimum 0 (solve). notes(q) gives the notes at
+    q, the observed p_t or the infimum; echo holds the input fields to echo.
+    """
+    def threshold(q: float) -> float:
+        return _exceedance_threshold(mi_nats, variant, log_ratio, q)
+
+    if mode == "check":
+        if p_t is None:
+            raise FanoError("p_t: check mode requires the observed exceedance probability")
+        p_t = _check_prob(p_t, "p_t")
+        bound = -math.inf if math.isinf(mi_nats) else threshold(p_t)
+        return BoundReport(
+            mode="check", bound_value=bound, observed=p_t, slack=p_t - bound,
+            solver_tolerance=tolerance, notes=notes(p_t), **echo)
+    if mode != "solve":
+        raise FanoError(f"mode: expected 'check' or 'solve', got {mode!r}")
+    if math.isinf(mi_nats):
+        inf_q = 0.0
+    elif variant == "log2":
+        inf_q = min(max(threshold(0.0), 0.0), 1.0)
+    else:
+        inf_q = _concave_crossing(lambda q: q - threshold(q))
+    return BoundReport(
+        mode="solve", bound_value=inf_q, feasible_sup=inf_q,
+        solver_tolerance=SOLVE_TOLERANCE, notes=notes(inf_q), **echo)
 
 
 def mi_distance_bound(mi: float, size: int, ball_max: int,
                       p_t: float | None = None, mode: str = "check",
-                      base: float = math.e, tolerance: float = 1e-9,
-                      solver_tolerance: float = 1e-10) -> BoundReport:
+                      base: float = math.e, tolerance: float = 1e-9) -> BoundReport:
     """Lower bound on the exceedance probability from mutual information,
     alphabet size, and the largest ball count.
 
@@ -609,35 +658,14 @@ def mi_distance_bound(mi: float, size: int, ball_max: int,
             "the log ratio vanishes"
         )
     mi_nats = _check_divergence(mi) * _ln_base(base)
-    denom = math.log(size) - math.log(ball_max)
-
-    def threshold(q: float) -> float:
-        return 1.0 - (mi_nats + binary_entropy(q)) / denom
-
-    if mode == "check":
-        if p_t is None:
-            raise FanoError("p_t: check mode requires the observed exceedance probability")
-        p_t = _check_prob(p_t, "p_t")
-        bound = -math.inf if math.isinf(mi_nats) else threshold(p_t)
-        return BoundReport(
-            mode="check", bound_value=bound, observed=p_t, slack=p_t - bound,
-            solver_tolerance=tolerance,
-            notes="lower bound on exceedance probability; slack = observed - bound",
-            alpha="kl", p_min=None, p_max=float(ball_max) / size, divergence=mi,
-        )
-    if mode != "solve":
-        raise FanoError(f"mode: expected 'check' or 'solve', got {mode!r}")
-    if math.isinf(mi_nats):
-        inf_q = 0.0
-    else:
-        inf_q = _concave_crossing(lambda q: q - threshold(q), solver_tolerance)
-    return BoundReport(
-        mode="solve", bound_value=inf_q, feasible_sup=inf_q,
-        solver_tolerance=solver_tolerance,
-        notes="feasible_sup stores the infimum of the feasible set "
-              "(lower-bound direction)",
-        alpha="kl", p_min=None, p_max=float(ball_max) / size, divergence=mi,
-    )
+    note = ("lower bound on exceedance probability; slack = observed - bound"
+            if mode == "check" else
+            "feasible_sup stores the infimum of the feasible set "
+            "(lower-bound direction)")
+    return _exceedance_bound(
+        mi_nats, math.log(size) - math.log(ball_max), "entropy", p_t, mode,
+        tolerance, lambda q: note,
+        alpha="kl", p_max=float(ball_max) / size, divergence=mi)
 
 
 def continuous_fano_bound(mi: float, domain: ContinuousDomain,
@@ -645,8 +673,7 @@ def continuous_fano_bound(mi: float, domain: ContinuousDomain,
                           mode: str = "check", volume_method: str = "auto",
                           samples: int = 65536, seed: int = 0,
                           resolution: int = 64, base: float = math.e,
-                          tolerance: float = 1e-9,
-                          solver_tolerance: float = 1e-10) -> BoundReport:
+                          tolerance: float = 1e-9) -> BoundReport:
     """Continuous-domain exceedance bound through a volume ratio.
 
     variant "log2" uses a fixed ln 2 offset; variant "entropy" replaces it
@@ -673,42 +700,21 @@ def continuous_fano_bound(mi: float, domain: ContinuousDomain,
     mi_nats = _check_divergence(mi) * _ln_base(base)
 
     def threshold(q: float, ball_vol: float) -> float:
-        denom = math.log(vol_domain) - math.log(ball_vol)
-        offset = math.log(2.0) if variant == "log2" else binary_entropy(q)
-        return 1.0 - (mi_nats + offset) / denom
+        return _exceedance_threshold(
+            mi_nats, variant, math.log(vol_domain) - math.log(ball_vol), q)
 
-    def interval_note(q: float) -> str:
-        if ball_err <= 0.0:
-            return ""
-        lo_vol = max(ball - ball_err, 1e-300)
-        hi_vol = min(ball + ball_err, vol_domain * (1.0 - 1e-12))
-        return ("; bound in [%.17g, %.17g] across one volume standard error"
-                % (threshold(q, hi_vol), threshold(q, lo_vol)))
+    def notes(q: float) -> str:
+        text = ("variant %s; ball volume %.17g +/- %.17g (%s)"
+                % (variant, ball, ball_err, method))
+        if ball_err > 0.0:
+            lo_vol = max(ball - ball_err, 1e-300)
+            hi_vol = min(ball + ball_err, vol_domain * (1.0 - 1e-12))
+            text += ("; bound in [%.17g, %.17g] across one volume standard error"
+                     % (threshold(q, hi_vol), threshold(q, lo_vol)))
+        if mode == "solve":
+            text += "; feasible_sup stores the infimum (lower-bound direction)"
+        return text
 
-    base_note = ("variant %s; ball volume %.17g +/- %.17g (%s)"
-                 % (variant, ball, ball_err, method))
-    if mode == "check":
-        if p_t is None:
-            raise FanoError("p_t: check mode requires the observed exceedance probability")
-        p_t = _check_prob(p_t, "p_t")
-        bound = -math.inf if math.isinf(mi_nats) else threshold(p_t, ball)
-        return BoundReport(
-            mode="check", bound_value=bound, observed=p_t, slack=p_t - bound,
-            solver_tolerance=tolerance, notes=base_note + interval_note(p_t),
-            alpha=variant, divergence=mi,
-        )
-    if mode != "solve":
-        raise FanoError(f"mode: expected 'check' or 'solve', got {mode!r}")
-    if math.isinf(mi_nats):
-        inf_q = 0.0
-    elif variant == "log2":
-        inf_q = min(max(threshold(0.0, ball), 0.0), 1.0)
-    else:
-        inf_q = _concave_crossing(lambda q: q - threshold(q, ball), solver_tolerance)
-    return BoundReport(
-        mode="solve", bound_value=inf_q, feasible_sup=inf_q,
-        solver_tolerance=solver_tolerance,
-        notes=base_note + interval_note(inf_q) +
-              "; feasible_sup stores the infimum (lower-bound direction)",
-        alpha=variant, divergence=mi,
-    )
+    return _exceedance_bound(
+        mi_nats, math.log(vol_domain) - math.log(ball), variant, p_t, mode,
+        tolerance, notes, alpha=variant, divergence=mi)

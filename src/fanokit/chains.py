@@ -33,9 +33,12 @@ from .divergences import (
     conditional_entropy,
 )
 from .errors import (
+    BadPminPmax,
     DuplicateLabel,
     FanoError,
     InconsistentBounds,
+    NonUniformPrior,
+    RangeMismatch,
     StateSpaceTooLarge,
 )
 from .relations import (
@@ -230,8 +233,9 @@ def enumerate_chain(exp: Experiment) -> ChainSummary:
 
 
 def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(cum, u, side="right")
-    return np.minimum(idx, len(cum) - 1)
+    """One draw per u: the count of cumulative weights <= u in its row of cum
+    (or in cum itself, if one-dimensional), capped at the last index."""
+    return np.minimum((cum <= u[:, None]).sum(axis=1), cum.shape[-1] - 1)
 
 
 def _distinct_blocks(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -261,25 +265,18 @@ def simulate_chain(exp: Experiment, trials: int, seed: int = 0) -> ChainSummary:
     m = len(exp.channel.output_outcomes)
     n = exp.n_samples
 
-    cum_prior = np.cumsum(exp.prior.weights)
-    x_idx = _inverse_cdf(cum_prior, rng.random(trials))
-    cum_rows = np.cumsum(exp.channel.matrix, axis=1)
+    x_idx = _inverse_cdf(np.cumsum(exp.prior.weights), rng.random(trials))
+    cum_y = np.cumsum(exp.channel.matrix, axis=1)[x_idx]
     y = np.empty((trials, n), dtype=np.intp)
     for kk in range(n):
-        u = rng.random(trials)
-        for i in range(nx):
-            mask = x_idx == i
-            if mask.any():
-                y[mask, kk] = _inverse_cdf(cum_rows[i], u[mask])
+        y[:, kk] = _inverse_cdf(cum_y, rng.random(trials))
 
     blocks, block_of = _distinct_blocks(y)
     xhat_labels, picks, E = _resolve_estimator(exp.estimator, exp.channel, blocks)
     if picks is not None:
         xhat_idx = picks[block_of]
     else:
-        u = rng.random(trials)
-        below = np.cumsum(E, axis=1)[block_of] <= u[:, None]
-        xhat_idx = np.minimum(below.sum(axis=1), len(xhat_labels) - 1)
+        xhat_idx = _inverse_cdf(np.cumsum(E, axis=1)[block_of], rng.random(trials))
 
     counts = np.zeros((nx, len(xhat_labels)))
     np.add.at(counts, (x_idx, xhat_idx), 1.0)
@@ -314,6 +311,8 @@ def certify(exp: Experiment, trials: int | None = None, seed: int = 0,
     exact model information quantities (single-use mutual information, beta)
     and the empirical event probability judged within tolerance plus three
     standard errors. Plug-in information estimates never gate pass/fail.
+    Whether a bound applies is the bound's own decision: a bound that
+    rejects the chain's occupancy window, prior or alphabets is left out.
     """
     if trials is None:
         try:
@@ -330,75 +329,59 @@ def certify(exp: Experiment, trials: int | None = None, seed: int = 0,
     rel = exp.relation
     joint = summary.joint_xxhat
     rb = relation_bounds(rel, exp.prior, joint.col_outcomes)
-    window_ok = rb.p_max > 0.0 and rb.p_min < 1.0 and rb.p_min + rb.p_max < 1.0
+    # a Monte Carlo p_rel is judged within three standard errors (0 if exact)
+    slack_window = tolerance + 3.0 * summary.mc_stderr
+    mc_note = "" if summary.exact else (
+        "observed probability is a Monte Carlo estimate "
+        "(stderr %.17g); judged within 3 standard errors" % summary.mc_stderr)
     reports: list = []
 
     def add(report, instance_id):
         reports.append(dataclasses.replace(report, instance_id=instance_id))
 
-    if summary.exact:
-        if window_ok:
+    def kl(divergence):
+        """p_rel against the KL diffusion bound at this divergence budget."""
+        rep = _bounds.check_kl_diffusion(summary.p_rel, _bounds.BoundInputs(
+            divergence=divergence, alpha="kl", p_min=rb.p_min, p_max=rb.p_max,
+            base=base), slack_window)
+        return dataclasses.replace(rep, notes="; ".join(filter(None, (rep.notes, mc_note))))
+
+    try:
+        _bounds._check_window(rb.p_min, rb.p_max)
+    except BadPminPmax:
+        pass    # no KL-diffusion bound applies at this occupancy window
+    else:
+        if summary.exact:
             add(_bounds.fano_relation_bound(
                 joint, rel, rb, observation_mi=summary.mi_xy, base=base,
                 tolerance=tolerance), "relation-mi-reconstruction")
-            add(_bounds.check_kl_diffusion(summary.p_rel, _bounds.BoundInputs(
-                divergence=summary.mi_xy, alpha="kl", p_min=rb.p_min,
-                p_max=rb.p_max, base=base), tolerance), "relation-mi-observation")
-            add(_bounds.independent_samples_bound(
+            add(kl(summary.mi_xy), "relation-mi-observation")
+        # exact chains also assert the chain inequalities; a simulated chain's
+        # per-use budget is the model's exact single-use mutual information
+        add(_bounds.independent_samples_bound(
                 exp.prior, exp.channel, n, exp.estimator, rel, rb, base=base,
-                tolerance=tolerance), "samples-mi-per-use")
-            if math.isinf(summary.beta):
-                add(_bounds.BoundReport(
-                    mode="check", bound_value=math.inf, observed=summary.p_rel,
-                    slack=math.inf, solver_tolerance=tolerance,
-                    notes="worst-case pairwise divergence is infinite; vacuous",
-                    alpha="kl", p_min=rb.p_min, p_max=rb.p_max,
-                    divergence=math.inf), "samples-worst-pair")
-            else:
-                add(_bounds.check_kl_diffusion(summary.p_rel, _bounds.BoundInputs(
-                    divergence=n * summary.beta, alpha="kl", p_min=rb.p_min,
-                    p_max=rb.p_max, base=base), tolerance), "samples-worst-pair")
-        add(_bounds.entropy_version_bound(joint, rel, rb, base=base),
-            "entropy-version")
-        uniform = all(
-            abs(float(w) - 1.0 / len(exp.prior)) <= _bounds.UNIFORM_TOLERANCE
-            for w in exp.prior.weights)
-        if (isinstance(rel, DistanceRelation) and uniform
-                and joint.row_outcomes == joint.col_outcomes):
+                tolerance=tolerance) if summary.exact else
+            kl(n * _scale(_mi_nats_from_matrix(np.asarray(
+                joint_from_prior_and_channel(exp.prior, exp.channel).weights)), base)),
+            "samples-mi-per-use")
+        add(kl(n * summary.beta), "samples-worst-pair")
+    if not summary.exact:
+        return reports
+    add(_bounds.entropy_version_bound(joint, rel, rb, base=base), "entropy-version")
+    if isinstance(rel, DistanceRelation):
+        try:
             add(_bounds.distance_fano_bound(joint, rel.rho, rel.t, base=base),
                 "distance")
-            m_size = len(joint.row_outcomes)
-            _, n_max = ball_counts(rel.rho, rel.t, joint.row_outcomes)
-            if 1 <= n_max < m_size:
-                p_exceed = event_probability(
-                    joint, lambda x, xhat: rel.rho(x, xhat) > rel.t)
-                add(_bounds.mi_distance_bound(
-                    summary.mi_xy, m_size, n_max, p_t=p_exceed, mode="check",
-                    base=base, tolerance=tolerance), "distance-mi")
-        return reports
-
-    # Monte Carlo path: model-exact divergences, empirical event probability
-    slack_window = tolerance + 3.0 * summary.mc_stderr
-    note = ("observed probability is a Monte Carlo estimate "
-            "(stderr %.17g); judged within 3 standard errors" % summary.mc_stderr)
-    joint1 = joint_from_prior_and_channel(exp.prior, exp.channel)
-    mi_y1_exact = _scale(_mi_nats_from_matrix(np.asarray(joint1.weights)), base)
-    if window_ok:
-        for div, name in ((n * mi_y1_exact, "samples-mi-per-use"),
-                          (n * summary.beta, "samples-worst-pair")):
-            if math.isinf(div):
-                rep = _bounds.BoundReport(
-                    mode="check", bound_value=math.inf, observed=summary.p_rel,
-                    slack=math.inf, solver_tolerance=slack_window,
-                    notes="divergence is infinite; vacuous. " + note,
-                    alpha="kl", p_min=rb.p_min, p_max=rb.p_max, divergence=div)
-            else:
-                rep = _bounds.check_kl_diffusion(summary.p_rel, _bounds.BoundInputs(
-                    divergence=div, alpha="kl", p_min=rb.p_min, p_max=rb.p_max,
-                    base=base), slack_window)
-                rep = dataclasses.replace(rep, notes=(rep.notes + "; " + note
-                                                      if rep.notes else note))
-            add(rep, name)
+        except (NonUniformPrior, RangeMismatch):
+            return reports
+        m_size = len(joint.row_outcomes)
+        _, n_max = ball_counts(rel.rho, rel.t, joint.row_outcomes)
+        if n_max < m_size:    # n_max >= 1, or the distance bound had raised
+            p_exceed = event_probability(
+                joint, lambda x, xhat: rel.rho(x, xhat) > rel.t)
+            add(_bounds.mi_distance_bound(
+                summary.mi_xy, m_size, n_max, p_t=p_exceed, mode="check",
+                base=base, tolerance=tolerance), "distance-mi")
     return reports
 
 

@@ -45,13 +45,12 @@ class DistanceRelation(Relation):
     """Acceptable iff rho(x, xhat) <= t, for a symmetric rho and radius t >= 0."""
 
     def __init__(self, rho: Callable[[Any, Any], float], t: float,
-                 description: str = "", metric_name: str | None = None):
+                 description: str = ""):
         t = float(t)
         if math.isnan(t) or t < 0:
             raise OutOfRangeProbability(f"t: radius must be >= 0, got {t!r}")
         self.rho = rho
         self.t = t
-        self.metric_name = metric_name
         super().__init__(lambda x, xhat: rho(x, xhat) <= t,
                          description or f"rho(x, xhat) <= {t}")
 
@@ -332,13 +331,11 @@ def relation_from_json(obj: dict) -> Relation:
                 raise FanoError('relation: metric "table" requires a "table" field')
             rho = table_metric([(_label_from_json(x), _label_from_json(y), d)
                                 for x, y, d in entries])
-            name = None
         else:
             rho = metric_from_name(metric)
-            name = metric
         if "t" not in obj:
             raise FanoError('relation: distance relation requires a radius "t"')
-        return DistanceRelation(rho, float(obj["t"]), metric_name=name)
+        return DistanceRelation(rho, float(obj["t"]))
     if kind == "predicate-table":
         pairs = obj.get("pairs")
         if pairs is None:

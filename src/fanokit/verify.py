@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 from .bounds import _kl_rhs_nats, _renyi_rhs_nats
 from .distributions import FiniteDistribution
@@ -19,6 +19,11 @@ from .errors import GridTooLarge, NumericalInstability
 
 MAX_SWEEP_INSTANCES = 5_000_000
 POWER_SUM_GRID_POINTS = 1001
+POWER_SUM_ORDERS = (0.25, 0.5, 1.0, 2.0, 4.0)
+# a support check passes down to this negative slack
+SUPPORT_TOLERANCE = 1e-12
+# the order -> 1 limit has converged once the last gap is within this
+LIMIT_TOLERANCE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -171,8 +176,7 @@ class SupportCheck:
     support_term: float
 
 
-def verify_support_bound(P: FiniteDistribution, Q: FiniteDistribution,
-                         tolerance: float = 1e-12) -> SupportCheck:
+def verify_support_bound(P: FiniteDistribution, Q: FiniteDistribution) -> SupportCheck:
     """KL(P, Q) >= -ln Q(supp P); slack is LHS - RHS, tight for point masses."""
     lhs = kl_divergence(P, Q)
     q_mass = math.fsum(
@@ -182,7 +186,7 @@ def verify_support_bound(P: FiniteDistribution, Q: FiniteDistribution,
         slack = 0.0
     else:
         slack = lhs - rhs
-    return SupportCheck(passed=slack >= -tolerance, slack=slack,
+    return SupportCheck(passed=slack >= -SUPPORT_TOLERANCE, slack=slack,
                         divergence=lhs, support_term=rhs)
 
 
@@ -193,14 +197,13 @@ class PowerSumCheck:
     points: int
 
 
-def verify_power_sum(
-        alphas: Iterable[float] = (0.25, 0.5, 1.0, 2.0, 4.0)) -> PowerSumCheck:
+def verify_power_sum() -> PowerSumCheck:
     """p^a + (1-p)^a is >= 1 for a <= 1, <= 1 for a >= 1, exactly 1 at a = 1,
-    on a uniform p grid over [0, 1]."""
+    for each order a in POWER_SUM_ORDERS on a uniform p grid over [0, 1]."""
     worst = 0.0
     count = 0
     step = 1.0 / (POWER_SUM_GRID_POINTS - 1)
-    for a in alphas:
+    for a in POWER_SUM_ORDERS:
         for i in range(POWER_SUM_GRID_POINTS):
             p = i * step
             s = p ** a + (1.0 - p) ** a
@@ -232,8 +235,7 @@ class LimitTable:
 
 def verify_limit(P: FiniteDistribution, Q: FiniteDistribution,
                  event: Callable, p_min: float, p_max: float,
-                 k_max: int = 6, side: str = "below",
-                 tolerance: float = 1e-4) -> LimitTable:
+                 k_max: int = 6, side: str = "below") -> LimitTable:
     """Convergence of the order-alpha bound to the KL bound as the order
     approaches 1 through alpha_k = 1 -/+ 10^-k.
 
@@ -265,6 +267,6 @@ def verify_limit(P: FiniteDistribution, Q: FiniteDistribution,
     # so the first gap is not comparable with the rest
     decreasing = all(rows[i + 1].gap <= rows[i].gap + 1e-15
                      for i in range(1, len(rows) - 1))
-    converged = bool(rows) and rows[-1].gap <= tolerance
+    converged = bool(rows) and rows[-1].gap <= LIMIT_TOLERANCE
     return LimitTable(rows=tuple(rows), kl_value=kl_rhs,
                       decreasing=decreasing, converged=converged)

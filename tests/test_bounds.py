@@ -8,6 +8,7 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import philox
 from fanokit import (
@@ -446,6 +447,24 @@ class TestContinuous:
             continuous_fano_bound(
                 0.0, ContinuousDomain(((0.0, 1.0),), "abs", 0.0), p_t=0.5
             )
+
+
+@settings(max_examples=300, deadline=None)
+@given(mi=st.one_of(st.floats(0.0, 3.0), st.just(math.inf)),
+       p_t=st.floats(0.0, 1.0), size=st.integers(2, 12), data=st.data())
+def test_counting_and_volume_bounds_are_one_inequality(mi, p_t, size, data):
+    # b labels in a ball out of size is the volume ratio of a radius-b/2
+    # interval in [0, size]: both bounds must agree bit for bit
+    b = data.draw(st.integers(1, size - 1))
+    interval = ContinuousDomain(((0.0, size),), "abs", b / 2)
+    counting = mi_distance_bound(mi, size, b, p_t=p_t)
+    volume = continuous_fano_bound(mi, interval, p_t=p_t, variant="entropy",
+                                   volume_method="exact")
+    assert (counting.bound_value, counting.slack) == (volume.bound_value, volume.slack)
+    counting = mi_distance_bound(mi, size, b, mode="solve")
+    volume = continuous_fano_bound(mi, interval, variant="entropy", mode="solve",
+                                   volume_method="exact")
+    assert counting.feasible_sup == volume.feasible_sup
 
 
 class TestReportPlumbing:

@@ -31,6 +31,7 @@ from fanokit import (
 )
 from fanokit.chains import (
     _distinct_blocks,
+    _inverse_cdf,
     _ml_picks,
     estimator_from_json,
     experiment_from_json,
@@ -224,6 +225,23 @@ def test_distinct_blocks_hold_past_int64_codes():
     assert (blocks[index] == y).all()
 
 
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(1, 5), rows=st.integers(1, 6), seed=st.integers(0, 2 ** 31 - 1))
+def test_inverse_cdf_matches_a_per_row_search(k, rows, seed):
+    # the u include every cumulative weight itself (ties) and values past the
+    # last one, where the draw is capped at the last index
+    rng = philox(seed)
+    cum = np.cumsum(rng.dirichlet(np.ones(k), size=rows), axis=1)
+    cum[:, -1] *= rng.choice([1.0, 1.0 - 2.0 ** -52], size=rows)
+    u = np.concatenate([rng.random((8, rows)), cum.T, np.full((1, rows), 1 - 2.0 ** -53)])
+    for draws in u:
+        want = [min(np.searchsorted(c, v, side="right"), k - 1)
+                for c, v in zip(cum, draws)]
+        assert _inverse_cdf(cum, draws).tolist() == want
+    assert _inverse_cdf(cum[0], u[:, 0]).tolist() == [
+        min(np.searchsorted(cum[0], v, side="right"), k - 1) for v in u[:, 0]]
+
+
 def ml_picks_per_block(matrix, blocks):
     """The per-block ML decision: every block's sorted terms, summed and
     compared on their own (the reference for the per-type evaluation)."""
@@ -295,6 +313,20 @@ class TestCertify:
             "distance-mi",
         ]
         assert all(r.holds for r in reports)
+
+    def test_distance_bounds_need_a_uniform_prior_on_the_source_alphabet(self):
+        ch = Channel((0, 1, 2), (0, 1, 2),
+                     [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]])
+        rel = DistanceRelation(metric_from_name("abs"), 0)
+        skewed = Experiment(FiniteDistribution((0, 1, 2), (0.5, 0.3, 0.2)), ch,
+                            MLEstimator(), rel)
+        foreign = Experiment(uniform_distribution((0, 1, 2)), ch,
+                             MapEstimator({(y,): y + 1 for y in range(3)}, (1, 2, 3)),
+                             rel)
+        for exp in (skewed, foreign):
+            ids = [r.instance_id for r in certify(exp)]
+            assert ids[-1] == "entropy-version"
+            assert "distance" not in ids and "distance-mi" not in ids
 
     def test_binary_equality_window_saturates(self):
         # p_min + p_max = 1 rules out every occupancy-window report; only the

@@ -278,6 +278,18 @@ CHANNEL_EXPERIMENT = json.dumps(dict(TestCertify.EXPERIMENT, estimator={
     "kind": "channel", "channel": {
         "inputs": [0, 1, 2], "outputs": [0, 1, 2],
         "rows": [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]}}))
+# row 0 gives output 2 no mass, so the worst pairwise divergence is infinite
+INF_BETA_EXPERIMENT = json.dumps(dict(TestCertify.EXPERIMENT, n=2, channel={
+    "inputs": [0, 1, 2], "outputs": [0, 1, 2],
+    "rows": [[0.9, 0.1, 0.0], [0.1, 0.8, 0.1], [0.2, 0.2, 0.6]]}))
+# one source label: the occupancy window is saturated and no ball-count ratio
+# exists, so only the entropy-version and distance bounds apply
+ONE_LABEL_EXPERIMENT = json.dumps({
+    "prior": {"outcomes": [0], "weights": [1]},
+    "channel": {"inputs": [0], "outputs": [0, 1], "rows": [[0.7, 0.3]]},
+    "estimator": {"kind": "ml"},
+    "relation": {"kind": "distance", "metric": "abs", "t": 1},
+})
 ROWS4 = [[0.7, 0.1, 0.1, 0.1], [0.2, 0.6, 0.1, 0.1],
          [0.1, 0.2, 0.5, 0.2], [0.05, 0.05, 0.2, 0.7]]
 
@@ -342,6 +354,10 @@ GOLDEN_CASES = {
     "certify-mc-map": (["certify", DISTANCE_EXPERIMENT, "--trials", "3000",
                         "--seed", "1"], 0),
     "certify-mc-channel": (["certify", CHANNEL_EXPERIMENT, "--trials", "2000"], 0),
+    "certify-exact-inf-beta": (["certify", INF_BETA_EXPERIMENT], 0),
+    "certify-mc-inf-beta": (["certify", INF_BETA_EXPERIMENT, "--trials", "3000",
+                             "--seed", "1"], 0),
+    "certify-exact-one-label": (["certify", ONE_LABEL_EXPERIMENT], 0),
     "sweep": (["sweep", "--k", "2,3", "--denominator", "4", "--alphas", "0.5,2"], 0),
     "sweep-empty": (["sweep", "--k", "2", "--denominator", "1"], 0),
     "volume-grid": (["volume", UNIT_DISC, "--method", "grid", "--resolution", "16"], 0),
