@@ -324,13 +324,41 @@ def _bisect_boundary(g, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _last_feasible(g, step: float, peak: float | None) -> int | None:
+    """Largest grid index i below the last with g(i * step) >= 0, or None.
+
+    With no peak, every grid point is scanned. A concave g with its maximum
+    at peak has contiguous feasible indices: if any is feasible, one of the
+    two grid points around peak is, and right of peak g decreases, so the
+    last feasible index is found by binary search.
+    """
+    last = SOLVE_GRID_POINTS - 1
+    if peak is None:
+        for i in range(last - 1, -1, -1):
+            if g(i * step) >= 0.0:
+                return i
+        return None
+    below = min(int(peak / step), last - 1)
+    if g((below + 1) * step) < 0.0:      # then every point right of peak is infeasible
+        return below if g(below * step) >= 0.0 else None
+    lo, hi = below + 1, last             # g(lo * step) >= 0 > g(hi * step)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if g(mid * step) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def solve_diffusion(inputs: BoundInputs) -> BoundReport:
     """Largest p consistent with the self-referential bound p <= RHS(p).
 
-    Scans a uniform grid, refines every sign change by bisection, and returns
-    the supremum of the feasible set. Raises NoFeasiblePoint when no grid
-    point or bracket is feasible (possible when p_min > 0 makes the inputs
-    unrealizable).
+    Finds the last feasible point of a uniform grid (by binary search for
+    the concave KL margin, by a scan for other orders), refines the sign
+    change after it by bisection, and returns the supremum of the feasible
+    set. Raises NoFeasiblePoint when no grid point is feasible (possible when
+    p_min > 0 makes the inputs unrealizable).
     """
     p_min, p_max = _check_window(inputs.p_min, inputs.p_max)
     div = _check_divergence(inputs.divergence)
@@ -371,22 +399,19 @@ def solve_diffusion(inputs: BoundInputs) -> BoundReport:
             return sign * (num - (p ** alpha) * den)
 
     step = 1.0 / (SOLVE_GRID_POINTS - 1)
-    values = [g(i * step) for i in range(SOLVE_GRID_POINTS)]
-    feasible = [v >= 0.0 for v in values]
-    if feasible[-1]:
+    last = SOLVE_GRID_POINTS - 1
+    if g(last * step) >= 0.0:
         sup = 1.0
     else:
-        sup = None
-        for i in range(SOLVE_GRID_POINTS - 2, -1, -1):
-            if feasible[i]:
-                sup = _bisect_boundary(g, i * step, (i + 1) * step, SOLVE_TOLERANCE)
-                break
-        if sup is None:
+        # the KL margin is concave with its maximum at p_max / (p_max + 1 - p_min)
+        i = _last_feasible(g, step, p_max / (p_max + 1.0 - p_min) if is_kl else None)
+        if i is None:
             raise NoFeasiblePoint(
                 "inputs: no feasible probability on the solve grid; the "
                 "divergence is too small for the occupancy window "
                 "(or the feasible window is narrower than the grid step)"
             )
+        sup = _bisect_boundary(g, i * step, (i + 1) * step, SOLVE_TOLERANCE)
     return BoundReport(
         mode="solve", bound_value=sup, feasible_sup=sup,
         solver_tolerance=SOLVE_TOLERANCE, notes="",
@@ -648,8 +673,8 @@ def mi_distance_bound(mi: float, size: int, ball_max: int,
     """
     size = int(size)
     ball_max = int(ball_max)
-    if size < 2:
-        raise FanoError(f"size: alphabet size must be >= 2, got {size!r}")
+    if size < 1:
+        raise FanoError(f"size: alphabet size must be >= 1, got {size!r}")
     if ball_max < 1:
         raise ZeroVolumeDenominator(f"ball_max: must be >= 1, got {ball_max!r}")
     if ball_max >= size:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Any
 
@@ -26,6 +27,7 @@ from .distributions import (
     joint_from_prior_and_channel,
 )
 from .divergences import (
+    _column_fsums,
     _kl_nats,
     _ln_base,
     _mi_nats_from_matrix,
@@ -34,6 +36,7 @@ from .divergences import (
 )
 from .errors import (
     BadPminPmax,
+    DegenerateDenominator,
     DuplicateLabel,
     FanoError,
     InconsistentBounds,
@@ -138,27 +141,78 @@ def compute_beta(channel: Channel, base: float = math.e) -> float:
     return _scale(worst, base)
 
 
-def _ml_picks(matrix: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """Most likely input index per block (ties to the lowest index).
+def _ml_picks(matrix: np.ndarray, types: np.ndarray) -> np.ndarray:
+    """Most likely input index per type (count vector; ties to the lowest
+    index).
 
-    A block's log-likelihood is sum_s count_s * ln P(s | x); symbols that do
-    not occur contribute nothing, even where P(s | x) = 0. The terms are
-    summed in sorted order, so likelihoods made of the same terms (blocks
-    that permute each other, inputs whose rows permute each other) are
-    bit-for-bit equal and the tie rule applies. The counts (the block's type)
-    decide, so each distinct type is evaluated once.
+    The type decides: a block's log-likelihood is sum_s count_s * ln P(s | x),
+    and symbols that do not occur contribute nothing, even where P(s | x) = 0.
+    The terms are summed in sorted order, so likelihoods made of the same
+    terms (inputs whose rows permute each other) are bit-for-bit equal and
+    the tie rule applies.
     """
-    small = np.min_scalar_type(blocks.shape[1])   # counts <= n; small keys sort fast
-    counts = np.stack([(blocks == s).sum(axis=1, dtype=small)
-                       for s in range(matrix.shape[1])], axis=1)
-    types, type_of = _distinct_blocks(counts)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(types > 0, types * np.log(matrix)[:, None, :], 0.0)
-    return np.argmax(np.sort(terms, axis=2).sum(axis=2), axis=0)[type_of]
+    return np.argmax(np.sort(terms, axis=2).sum(axis=2), axis=0)
+
+
+def _types(m: int, n: int) -> np.ndarray:
+    """Every type (count vector) of n draws from m symbols, one per row: the
+    C(n + m - 1, m - 1) ways to place m - 1 bars among n + m - 1 slots (stars
+    and bars), in lexicographic order of the bar positions."""
+    k = m - 1
+    count = math.comb(n + k, k)
+    slots = range(n + k) if k else ()          # one symbol: one type, whatever n
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(slots, k)),
+        dtype=np.intp, count=count * k).reshape(count, k)
+    edges = np.hstack([np.full((count, 1), -1), bars, np.full((count, 1), n + k)])
+    return np.diff(edges, axis=1) - 1
+
+
+# the largest n whose n! is a finite float64; up to it multinomials are exact
+# integers rounded once, past it they come from lgamma in log space
+MAX_FLOAT_FACTORIAL = 170
+
+
+def _type_likelihoods(matrix: np.ndarray, types: np.ndarray) -> np.ndarray:
+    """P(T = c | x) = multinomial(n; c) * prod_s P(s | x)^c_s, one row per
+    input x and one column per type c.
+
+    Up to n = MAX_FLOAT_FACTORIAL the product is taken directly, with the
+    multinomial an exact integer rounded once; entries whose powers underflow
+    are taken in log space. Past that n every entry is taken in log space,
+    where the error grows with n. No entry is NaN or inf; an impossible type
+    has likelihood exactly 0.
+    """
+    n = int(types[0].sum())
+    shape = (len(matrix), len(types))
+    if n <= MAX_FLOAT_FACTORIAL:
+        fact = list(itertools.accumulate(range(1, n + 1), operator.mul, initial=1))
+        mult = (fact[n] // np.array(fact, dtype=object)[types].prod(axis=1)).astype(float)
+        lik = np.ones(shape)
+        for s in range(matrix.shape[1]):
+            lik *= matrix[:, s, None] ** types[:, s]
+        in_log = lik < np.finfo(float).tiny
+        lik *= mult
+        if not in_log.any():
+            return lik
+        log_mult = np.log(mult)
+    else:
+        log_fact = np.frompyfunc(math.lgamma, 1, 1)(types + 1.0).astype(float)
+        log_mult = math.lgamma(n + 1.0) - log_fact.sum(axis=1)
+        lik, in_log = np.empty(shape), np.ones(shape, dtype=bool)
+    log_lik = np.broadcast_to(log_mult, shape).copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_w = np.log(matrix)
+        for s in range(matrix.shape[1]):
+            log_lik += np.where(types[:, s] > 0, types[:, s] * log_w[:, s, None], 0.0)
+    return np.exp(log_lik, out=lik, where=in_log)
 
 
 def _resolve_estimator(est, channel: Channel, blocks: np.ndarray):
-    """The estimator's decision on each distinct observation block.
+    """The estimator's decision on each distinct observation block (ML
+    decides each distinct type of the blocks once).
 
     blocks is an index matrix into the channel outputs, one row per block.
     Returns (xhat_labels, picks, E): picks holds one reconstruction index per
@@ -166,7 +220,11 @@ def _resolve_estimator(est, channel: Channel, blocks: np.ndarray):
     block for randomized ones; the other is None.
     """
     if isinstance(est, MLEstimator):
-        return channel.input_outcomes, _ml_picks(channel.matrix, blocks), None
+        small = np.min_scalar_type(blocks.shape[1])   # counts <= n; small keys sort fast
+        counts = np.stack([(blocks == s).sum(axis=1, dtype=small)
+                           for s in range(channel.matrix.shape[1])], axis=1)
+        types, type_of = _distinct_blocks(counts)
+        return channel.input_outcomes, _ml_picks(channel.matrix, types)[type_of], None
     out = channel.output_outcomes
     labels = [tuple(out[k] for k in row) for row in blocks.tolist()]
     if isinstance(est, MapEstimator):
@@ -194,36 +252,66 @@ def _resolve_estimator(est, channel: Channel, blocks: np.ndarray):
     raise FanoError(f"estimator: unsupported estimator {est!r}")
 
 
+def _unit_mass(W: np.ndarray) -> np.ndarray:
+    """W rescaled to unit total mass where it misses it by rounding alone."""
+    total = math.fsum(W.ravel().tolist())
+    return W / total if total != 1.0 and abs(total - 1.0) <= 1e-9 else W
+
+
 def enumerate_chain(exp: Experiment) -> ChainSummary:
-    """Exact chain quantities by enumerating every observation block."""
+    """Exact chain quantities, evaluated by type.
+
+    The type T of the observation block (its count vector) is a sufficient
+    statistic for X under i.i.d. channel uses, so I(X;Y^n) = I(X;T) comes
+    from the nx x C(n + m - 1, m - 1) type matrix for every estimator. The ML
+    decision is a function of the type too, so an ML chain never visits a
+    block. Map and channel estimators depend on the order of the symbols:
+    their X -> Xhat joint sums over all m^n blocks.
+
+    The state cap bounds what is held at once: the nx x types x m terms of
+    the type path (the ML decision's; the type counts and likelihoods are
+    smaller) for every estimator, and the nx x m^n blocks for the others.
+    """
     nx = len(exp.prior)
     m = len(exp.channel.output_outcomes)
     n = exp.n_samples
-    if nx * m ** n > DEFAULT_STATE_CAP:
-        raise StateSpaceTooLarge(
-            "n: chain state space %d * %d^%d exceeds the %d-state cap"
-            % (nx, m, n, DEFAULT_STATE_CAP)
-        )
-    every_block = np.indices((m,) * n).reshape(n, -1).T   # row-major block order
-    xhat_labels, picks, E = _resolve_estimator(exp.estimator, exp.channel, every_block)
-    k = len(xhat_labels)
-    block = _kron_rows(exp.channel.matrix, n)
-    W = np.empty((nx, k))
+    by_type = isinstance(exp.estimator, MLEstimator)
+    n_types = math.comb(n + m - 1, m - 1)
+    held = [("%d x %d types x %d symbols" % (nx, n_types, m), nx * n_types * m)]
+    if not by_type:
+        held.append(("%d x %d^%d blocks" % (nx, m, n), nx * m ** n))
+    for what, size in held:
+        if size > DEFAULT_STATE_CAP:
+            raise StateSpaceTooLarge("n: chain state space %s exceeds the %d-state cap"
+                                     % (what, DEFAULT_STATE_CAP))
     prior_w = exp.prior.weights
-    for i in range(nx):
-        if picks is not None:
-            W[i] = prior_w[i] * np.bincount(picks, weights=block[i], minlength=k)
-        else:
-            W[i] = prior_w[i] * (block[i] @ E)
-    total = math.fsum(W.ravel().tolist())
-    if total != 1.0 and abs(total - 1.0) <= 1e-9:
-        W = W / total
+    types = _types(m, n)
+    joint_types = prior_w[:, None] * _type_likelihoods(exp.channel.matrix, types)
+    if by_type:
+        xhat_labels = exp.channel.input_outcomes
+        picks = _ml_picks(exp.channel.matrix, types)
+        W = np.zeros((nx, nx))
+        for k in np.flatnonzero(np.bincount(picks, minlength=nx)).tolist():
+            W[:, k] = _column_fsums(joint_types[:, picks == k].T)
+    else:
+        every_block = np.indices((m,) * n).reshape(n, -1).T   # row-major block order
+        xhat_labels, picks, E = _resolve_estimator(exp.estimator, exp.channel,
+                                                   every_block)
+        k = len(xhat_labels)
+        block = _kron_rows(exp.channel.matrix, n)
+        W = np.empty((nx, k))
+        for i in range(nx):
+            if picks is not None:
+                W[i] = prior_w[i] * np.bincount(picks, weights=block[i], minlength=k)
+            else:
+                W[i] = prior_w[i] * (block[i] @ E)
+    W = _unit_mass(W)
     joint = JointDistribution(exp.prior.outcomes, xhat_labels, W)
     joint1 = joint_from_prior_and_channel(exp.prior, exp.channel)
     return ChainSummary(
         joint_xxhat=joint,
         p_rel=event_probability(joint, exp.relation),
-        mi_xy=_scale(_mi_nats_from_matrix(prior_w[:, None] * block), exp.base),
+        mi_xy=_scale(_mi_nats_from_matrix(_unit_mass(joint_types)), exp.base),
         mi_y1=_scale(_mi_nats_from_matrix(np.asarray(joint1.weights)), exp.base),
         mi_xxhat=_scale(_mi_nats_from_matrix(W), exp.base),
         h_x_given_xhat=conditional_entropy(joint, exp.base),
@@ -374,14 +462,15 @@ def certify(exp: Experiment, trials: int | None = None, seed: int = 0,
                 "distance")
         except (NonUniformPrior, RangeMismatch):
             return reports
-        m_size = len(joint.row_outcomes)
         _, n_max = ball_counts(rel.rho, rel.t, joint.row_outcomes)
-        if n_max < m_size:    # n_max >= 1, or the distance bound had raised
-            p_exceed = event_probability(
-                joint, lambda x, xhat: rel.rho(x, xhat) > rel.t)
-            add(_bounds.mi_distance_bound(
-                summary.mi_xy, m_size, n_max, p_t=p_exceed, mode="check",
-                base=base, tolerance=tolerance), "distance-mi")
+        p_exceed = event_probability(joint, lambda x, xhat: rel.rho(x, xhat) > rel.t)
+        try:
+            report = _bounds.mi_distance_bound(
+                summary.mi_xy, len(joint.row_outcomes), n_max, p_t=p_exceed,
+                mode="check", base=base, tolerance=tolerance)
+        except DegenerateDenominator:
+            return reports    # the largest ball covers the whole alphabet
+        add(report, "distance-mi")
     return reports
 
 

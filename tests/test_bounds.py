@@ -36,12 +36,21 @@ from fanokit import (
     reports_to_csv,
     solve_diffusion,
 )
+from fanokit.bounds import (
+    SOLVE_GRID_POINTS,
+    SOLVE_TOLERANCE,
+    _bisect_boundary,
+    _kl_rhs_nats,
+    _log_ratio,
+)
+from fanokit.divergences import _binary_entropy_nats
 from fanokit.errors import (
     AlphaIsOne,
     BadPminPmax,
     DegenerateDenominator,
     FanoError,
     InconsistentBounds,
+    NoFeasiblePoint,
     NonUniformPrior,
     OutOfRangeProbability,
     RangeMismatch,
@@ -258,6 +267,48 @@ class TestSolveMode:
         assert tighter_floor <= sup + 1e-9
 
 
+def kl_solve_by_scan(div, p_min, p_max):
+    """The KL feasible supremum from every grid point (the reference for
+    solve_diffusion's binary search); None where no grid point is feasible."""
+    step = 1.0 / (SOLVE_GRID_POINTS - 1)
+
+    def g(p):
+        return _kl_rhs_nats(div, p, p_min, p_max) - p
+
+    feasible = [g(i * step) >= 0.0 for i in range(SOLVE_GRID_POINTS)]
+    if feasible[-1]:
+        return 1.0
+    for i in range(SOLVE_GRID_POINTS - 2, -1, -1):
+        if feasible[i]:
+            return _bisect_boundary(g, i * step, (i + 1) * step, SOLVE_TOLERANCE)
+    return None
+
+
+@settings(max_examples=1000, deadline=None)
+@given(p_min=st.one_of(st.just(0.0), st.floats(0.0, 0.98)),
+       share=st.floats(1e-6, 1.0, exclude_max=True),
+       div=st.floats(0.0, 4.0), shift=st.floats(-1e-3, 1e-3),
+       near_edge=st.booleans())
+def test_kl_solve_matches_the_full_grid_scan(p_min, share, div, shift, near_edge):
+    # near_edge puts the divergence within shift of the least feasible one,
+    # where the margin's maximum crosses zero
+    p_max = (1.0 - p_min) * share
+    if p_min + p_max >= 1.0:
+        return
+    if near_edge:
+        peak = p_max / (p_max + 1.0 - p_min)
+        least = (peak * _log_ratio(p_min, p_max) - _binary_entropy_nats(peak)
+                 - math.log1p(-p_min))
+        div = max(0.0, least + shift)
+    want = kl_solve_by_scan(div, p_min, p_max)
+    inputs = BoundInputs(div, "kl", p_min, p_max)
+    if want is None:
+        with pytest.raises(NoFeasiblePoint):
+            solve_diffusion(inputs)
+    else:
+        assert solve_diffusion(inputs).feasible_sup == want
+
+
 class TestRelationBound:
     def test_perfect_reconstruction_is_tight(self):
         r = fano_relation_bound(diag_joint(4), equality_relation(),
@@ -401,8 +452,11 @@ class TestMiDistance:
     def test_ball_cannot_cover_everything(self):
         with pytest.raises(DegenerateDenominator):
             mi_distance_bound(0.0, 4, 4, p_t=0.5)
-        with pytest.raises(FanoError):
-            mi_distance_bound(0.0, 1, 1, p_t=0.5)
+        # a one-label alphabet is the same vanishing log ratio
+        with pytest.raises(DegenerateDenominator):
+            mi_distance_bound(0.0, 1, 1, p_t=0.0)
+        with pytest.raises(FanoError, match="size"):
+            mi_distance_bound(0.0, 0, 1, p_t=0.5)
 
 
 class TestContinuous:

@@ -4,6 +4,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,9 +34,13 @@ from fanokit.chains import (
     _distinct_blocks,
     _inverse_cdf,
     _ml_picks,
+    _resolve_estimator,
+    _types,
     estimator_from_json,
     experiment_from_json,
 )
+from fanokit.distributions import _kron_rows
+from fanokit.divergences import _mi_nats_from_matrix
 from fanokit.errors import InconsistentBounds, StateSpaceTooLarge
 
 # mpmath, 50 digits: worst-pair divergence of the (0.9/0.2) asymmetric channel
@@ -54,6 +59,11 @@ def noisy_three():
         [[0.9, 0.05, 0.05], [0.1, 0.8, 0.1], [0.2, 0.2, 0.6]],
     )
     return Experiment(prior, ch, MLEstimator(), equality_relation())
+
+
+def flat_channel(m):
+    """Two inputs and m outputs, both rows uniform."""
+    return Channel((0, 1), tuple(range(m)), [[1.0 / m] * m] * 2)
 
 
 class TestEnumerate:
@@ -85,13 +95,27 @@ class TestEnumerate:
         assert s.p_rel == pytest.approx(want, abs=1e-12)
 
     def test_state_space_cap(self):
+        # a map estimator is resolved block by block: 2 * 4^12 blocks. An ML
+        # chain is held by type: 2 * C(153, 3) types * 4 symbols at n = 150.
+        # At n = 2, 2 * C(101, 99) types * 100 symbols = 1,010,000 is just
+        # past the cap, and 2 * C(1000, 998) types * 999 symbols would take
+        # gigabytes; counted as types alone both would pass.
         wide = Channel((0, 1), (0, 1, 2, 3), [[0.25] * 4] * 2)
-        exp = Experiment(HALF, wide, MLEstimator(), equality_relation(),
-                         n_samples=12)
-        with pytest.raises(StateSpaceTooLarge):
-            enumerate_chain(exp)
-        with pytest.raises(StateSpaceTooLarge, match="trials"):
-            certify(exp)
+        for channel, est, n in ((wide, MapEstimator({}, (0, 1)), 12),
+                                (wide, MLEstimator(), 150),
+                                (flat_channel(100), MLEstimator(), 2),
+                                (flat_channel(999), MLEstimator(), 2)):
+            exp = Experiment(HALF, channel, est, equality_relation(), n_samples=n)
+            with pytest.raises(StateSpaceTooLarge):
+                enumerate_chain(exp)
+            with pytest.raises(StateSpaceTooLarge, match="trials"):
+                certify(exp)
+
+    def test_state_space_cap_admits_the_widest_chain_it_counts(self):
+        # 2 * C(100, 98) types * 99 symbols = 970,200 terms: under the cap
+        s = enumerate_chain(Experiment(HALF, flat_channel(99), MLEstimator(),
+                                       equality_relation(), n_samples=2))
+        assert s.p_rel == pytest.approx(0.5, abs=1e-12)
 
 
 class TestComputeBeta:
@@ -252,29 +276,140 @@ def ml_picks_per_block(matrix, blocks):
     return np.argmax(np.sort(terms, axis=2).sum(axis=2), axis=0)
 
 
+CHANNEL_KINDS = ["dirichlet", "permuted", "symmetric", "zeros"]
+
+
+def channel_rows(rng, kind, nx, m):
+    """nx channel rows over m symbols, of a kind that stresses the ML tie rule."""
+    if kind == "dirichlet":
+        return rng.dirichlet(np.ones(m), size=nx)
+    if kind == "permuted":                # rows permute each other: exact ties
+        row = rng.dirichlet(np.ones(m))
+        return np.stack([rng.permutation(row) for _ in range(nx)])
+    if kind == "symmetric":               # m-ary symmetric rows, repeated past m
+        stay = float(rng.uniform(0.3, 0.9))
+        return np.array([[stay if x % m == y else (1 - stay) / (m - 1)
+                          for y in range(m)] for x in range(nx)])
+    matrix = rng.dirichlet(np.ones(m), size=nx)   # impossible symbols, tied zeros
+    matrix[rng.random((nx, m)) < 0.3] = 0.0
+    matrix[:, 0] += 1.0 - matrix.sum(axis=1)
+    return matrix
+
+
 @settings(max_examples=150, deadline=None)
 @given(m=st.integers(2, 4), n=st.integers(1, 6), nx=st.integers(1, 4),
-       kind=st.sampled_from(["dirichlet", "permuted", "symmetric", "zeros"]),
+       kind=st.sampled_from(CHANNEL_KINDS),
        seed=st.integers(0, 2 ** 31 - 1), subset=st.booleans())
 def test_ml_picks_per_type_match_the_per_block_reference(m, n, nx, kind, seed, subset):
     rng = philox(seed)
-    if kind == "dirichlet":
-        matrix = rng.dirichlet(np.ones(m), size=nx)
-    elif kind == "permuted":              # rows permute each other: exact ties
-        row = rng.dirichlet(np.ones(m))
-        matrix = np.stack([rng.permutation(row) for _ in range(nx)])
-    elif kind == "symmetric":             # m-ary symmetric rows, repeated past m
-        stay = float(rng.uniform(0.3, 0.9))
-        matrix = np.array([[stay if x % m == y else (1 - stay) / (m - 1)
-                            for y in range(m)] for x in range(nx)])
-    else:                                 # impossible symbols and tied zeros
-        matrix = rng.dirichlet(np.ones(m), size=nx)
-        matrix[rng.random((nx, m)) < 0.3] = 0.0
-        matrix[:, 0] += 1.0 - matrix.sum(axis=1)
+    matrix = channel_rows(rng, kind, nx, m)
     blocks = np.indices((m,) * n).reshape(n, -1).T
     if subset:                            # Monte Carlo: some blocks, any order
         blocks = blocks[rng.permutation(len(blocks))[:max(1, len(blocks) // 3)]]
-    assert np.array_equal(_ml_picks(matrix, blocks), ml_picks_per_block(matrix, blocks))
+    channel = Channel(tuple(range(nx)), tuple(range(m)), matrix)
+    _, picks, _ = _resolve_estimator(MLEstimator(), channel, blocks)
+    assert np.array_equal(picks, ml_picks_per_block(matrix, blocks))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_types_are_every_count_vector_once(m, n):
+    want = sorted(c for c in itertools.product(range(n + 1), repeat=m) if sum(c) == n)
+    assert sorted(map(tuple, _types(m, n).tolist())) == want
+
+
+def unit_mass(W):
+    total = math.fsum(W.ravel().tolist())   # rows may miss unit mass by an ulp
+    return W / total if total != 1.0 and abs(total - 1.0) <= 1e-9 else W
+
+
+def block_path(exp):
+    """An ML chain over every one of its m^n observation blocks (the reference
+    for the type path): each block's likelihood is a product over positions,
+    each block is decided on its own, and the joint's sums are exact.
+    Returns the blocks, their picks, the X -> Xhat joint and I(X;Y^n)."""
+    m, n, nx = len(exp.channel.output_outcomes), exp.n_samples, len(exp.prior)
+    blocks = np.indices((m,) * n).reshape(n, -1).T
+    joint_blocks = unit_mass(exp.prior.weights[:, None]
+                             * _kron_rows(exp.channel.matrix, n))
+    picks = ml_picks_per_block(exp.channel.matrix, blocks)
+    W = unit_mass(np.array([[math.fsum(row[picks == k]) for k in range(nx)]
+                            for row in joint_blocks]))
+    return blocks, picks, W, _mi_nats_from_matrix(joint_blocks)
+
+
+def within_ulps(a, b, k):
+    a, b = np.asarray(a), np.asarray(b)
+    scale = np.maximum(np.abs(a), np.abs(b))
+    return bool((np.abs(a - b) <= k * np.spacing(scale)).all())
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(2, 4), n=st.integers(1, 6), nx=st.integers(1, 4),
+       kind=st.sampled_from(CHANNEL_KINDS), seed=st.integers(0, 2 ** 31 - 1))
+def test_type_path_matches_the_block_path(m, n, nx, kind, seed):
+    rng = philox(seed)
+    labels = tuple(range(nx))
+    exp = Experiment(FiniteDistribution(labels, rng.dirichlet(np.ones(nx))),
+                     Channel(labels, tuple(range(m)), channel_rows(rng, kind, nx, m)),
+                     MLEstimator(), equality_relation(), n_samples=n)
+    s = enumerate_chain(exp)
+    blocks, picks, W, mi = block_path(exp)
+    types = _types(m, n)
+    type_of = {c: j for j, c in enumerate(map(tuple, types.tolist()))}
+    block_types = [type_of[tuple(np.bincount(b, minlength=m).tolist())]
+                   for b in blocks]
+    assert np.array_equal(_ml_picks(exp.channel.matrix, types)[block_types], picks)
+    # a few ulp: the two paths round different products; MI is a sum of
+    # terms of order one, so its error is counted in ulps of 1
+    assert within_ulps(s.joint_xxhat.weights, W, 8)
+    assert within_ulps(s.p_rel, math.fsum(np.diag(W).tolist()), 8)
+    assert abs(s.mi_xy - mi) <= 8 * math.ulp(1.0)
+
+
+def exact_mi(prior, matrix, n):
+    """I(X;Y^n) at 50 digits from the exact type matrix (prior times
+    multinomial likelihood), scaled to unit mass as the chain's joint is."""
+    with mpmath.workdps(50):
+        types = [c for c in itertools.product(range(n + 1), repeat=matrix.shape[1])
+                 if sum(c) == n]
+        J = [[mpmath.mpf(float(prior[x]))
+              * (math.factorial(n) // math.prod(math.factorial(k) for k in c))
+              * mpmath.fprod(mpmath.mpf(float(w)) ** k for w, k in zip(matrix[x], c))
+              for c in types] for x in range(len(prior))]
+        total = mpmath.fsum(v for r in J for v in r)
+        J = [[v / total for v in r] for r in J]
+        rows = [mpmath.fsum(r) for r in J]
+        cols = [mpmath.fsum(c) for c in zip(*J)]
+        return mpmath.fsum(J[x][j] * mpmath.log(J[x][j] / (rows[x] * cols[j]))
+                           for x in range(len(J)) for j in range(len(cols)) if J[x][j] > 0)
+
+
+@pytest.mark.parametrize("prior, rows", [
+    ((0.5, 0.5), ((0.9, 0.1), (0.2, 0.8))),
+    ((0.3, 0.7), ((0.6, 0.4), (0.45, 0.55))),
+])
+def test_binary_chain_at_n50_matches_mpmath(prior, rows):
+    exp = Experiment(FiniteDistribution((0, 1), prior), Channel((0, 1), (0, 1), rows),
+                     MLEstimator(), equality_relation(), n_samples=50)
+    want = exact_mi(exp.prior.weights, exp.channel.matrix, 50)
+    got = enumerate_chain(exp).mi_xy
+    with mpmath.workdps(50):
+        assert abs(got - want) <= 4 * math.ulp(float(want))
+
+
+def test_type_path_is_no_less_accurate_than_the_block_path():
+    # fixed random 4 x 4 chains at n = 5 and 6, against 50-digit values
+    worst = {"type": 0.0, "block": 0.0}
+    for n, seed in itertools.product((5, 6), range(12)):
+        exp = random_experiment(seed, nx=4, ny=4, n=n)
+        want = exact_mi(exp.prior.weights, exp.channel.matrix, n)
+        got = {"type": enumerate_chain(exp).mi_xy, "block": block_path(exp)[3]}
+        with mpmath.workdps(50):
+            for path, value in got.items():
+                worst[path] = max(worst[path],
+                                  float(abs(value - want) / math.ulp(float(want))))
+    assert worst["type"] <= worst["block"], worst
 
 
 def test_monte_carlo_plug_in_information_matches_a_counting_reference():

@@ -170,6 +170,13 @@ class TestCertify:
             assert capsys.readouterr().err == (
                 "error: estimator: value 7 missing from output_labels\n")
 
+    def test_exact_ml_chain_at_n50(self, capsys):
+        # 4 * 4^50 blocks, but 4 * C(53, 3) = 93,704 types
+        exp = dict(json.loads(chain4(1, "ml", "equality")), n=50)
+        assert main(["certify", json.dumps(exp), "--format", "json"]) == 0
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        assert "relation-mi-observation" in reports
+
     def test_csv_lists_every_report(self, tmp_path, capsys):
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(self.EXPERIMENT))
