@@ -220,8 +220,7 @@ def _resolve_estimator(est, channel: Channel, blocks: np.ndarray):
     block for randomized ones; the other is None.
     """
     if isinstance(est, MLEstimator):
-        small = np.min_scalar_type(blocks.shape[1])   # counts <= n; small keys sort fast
-        counts = np.stack([(blocks == s).sum(axis=1, dtype=small)
+        counts = np.stack([(blocks == s).sum(axis=1)
                            for s in range(channel.matrix.shape[1])], axis=1)
         types, type_of = _distinct_blocks(counts)
         return channel.input_outcomes, _ml_picks(channel.matrix, types)[type_of], None
@@ -322,24 +321,45 @@ def enumerate_chain(exp: Experiment) -> ChainSummary:
 
 def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """One draw per u: the count of cumulative weights <= u in its row of cum
-    (or in cum itself, if one-dimensional), capped at the last index."""
-    return np.minimum((cum <= u[:, None]).sum(axis=1), cum.shape[-1] - 1)
+    (or in cum itself, if one-dimensional), capped at the last index. Rows
+    are non-decreasing, so leaving the last column out is the cap."""
+    idx = np.zeros(len(u), dtype=np.intp)
+    for column in cum.T[:-1]:
+        idx += column <= u
+    return idx
 
 
 def _distinct_blocks(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows of y in row-major order, and the index of each row of y
-    among them. Sort-based, so it holds however large m^n gets."""
-    order = np.lexsort(y.T[::-1])
-    y = y[order]
-    first = np.ones(len(y), dtype=bool)
-    first[1:] = (y[1:] != y[:-1]).any(axis=1)
-    index = np.empty(len(y), dtype=np.intp)
-    index[order] = np.cumsum(first) - 1
-    return y[first], index
+    among them. Each row gets one Horner code over its columns (each shifted
+    to start at 0), so codes sort as rows do; where the next column would
+    pass int64, the codes so far are first replaced by their dense rank. So
+    it holds however large m^n gets, while rows x a column's span fits int64.
+    """
+    code = np.zeros(len(y), dtype=np.int64)
+    size = 1                                  # every code lies in [0, size)
+    for column in y.T:
+        low = int(column.min())
+        span = int(column.max()) - low + 1
+        if size * span > np.iinfo(np.int64).max:
+            distinct, code = np.unique(code, return_inverse=True)
+            size = len(distinct)
+        code *= span
+        code += column - low
+        size *= span
+    distinct, index = np.unique(code, return_inverse=True)
+    row = np.empty(len(distinct), dtype=np.intp)   # a row of y for each code
+    row[index] = np.arange(len(y))
+    return y[row], index
 
 
 def simulate_chain(exp: Experiment, trials: int, seed: int = 0) -> ChainSummary:
     """Monte Carlo chain summary from a counter-based stream.
+
+    The stream is one Philox generator keyed by the seed. It gives trials
+    doubles for X, then trials doubles for each of Y_1..Y_n in turn, then
+    trials doubles for a randomized estimator's Xhat; each draw is an
+    inverse-CDF lookup. The golden files pin this layout.
 
     The empirical joint, event probability, and information fields are
     plug-in estimates; beta is exact (a channel property). mc_stderr is the
@@ -353,35 +373,36 @@ def simulate_chain(exp: Experiment, trials: int, seed: int = 0) -> ChainSummary:
     m = len(exp.channel.output_outcomes)
     n = exp.n_samples
 
+    def draw(cum: np.ndarray, row_of: np.ndarray) -> np.ndarray:
+        """One draw per trial t from row row_of[t] of the cumulative rows cum."""
+        return _inverse_cdf(np.take(cum, row_of, axis=0), rng.random(trials))
+
     x_idx = _inverse_cdf(np.cumsum(exp.prior.weights), rng.random(trials))
-    cum_y = np.cumsum(exp.channel.matrix, axis=1)[x_idx]
-    y = np.empty((trials, n), dtype=np.intp)
+    cum_y = np.cumsum(exp.channel.matrix, axis=1)
+    y = np.empty((trials, n), dtype=np.intp, order="F")   # one column per draw
     for kk in range(n):
-        y[:, kk] = _inverse_cdf(cum_y, rng.random(trials))
+        y[:, kk] = draw(cum_y, x_idx)
 
     blocks, block_of = _distinct_blocks(y)
     xhat_labels, picks, E = _resolve_estimator(exp.estimator, exp.channel, blocks)
     if picks is not None:
         xhat_idx = picks[block_of]
     else:
-        xhat_idx = _inverse_cdf(np.cumsum(E, axis=1)[block_of], rng.random(trials))
+        xhat_idx = draw(np.cumsum(E, axis=1), block_of)
 
-    counts = np.zeros((nx, len(xhat_labels)))
-    np.add.at(counts, (x_idx, xhat_idx), 1.0)
-    W = counts / trials
+    def joint_with_x(b: np.ndarray, k: int) -> np.ndarray:
+        """Empirical joint of X and an index b < k, one row per source symbol."""
+        return np.bincount(x_idx * k + b, minlength=nx * k).reshape(nx, k) / trials
+
+    W = joint_with_x(xhat_idx, len(xhat_labels))
     joint = JointDistribution(exp.prior.outcomes, xhat_labels, W)
     p_rel = event_probability(joint, exp.relation)
     stderr = math.sqrt(max(p_rel * (1.0 - p_rel), 0.0) / trials)
-
-    counts_y1 = np.zeros((nx, m))
-    np.add.at(counts_y1, (x_idx, y[:, 0]), 1.0)
-    counts_xy = np.bincount(x_idx * len(blocks) + block_of,
-                            minlength=nx * len(blocks)).reshape(nx, len(blocks))
     return ChainSummary(
         joint_xxhat=joint,
         p_rel=p_rel,
-        mi_xy=_scale(_mi_nats_from_matrix(counts_xy / trials), exp.base),
-        mi_y1=_scale(_mi_nats_from_matrix(counts_y1 / trials), exp.base),
+        mi_xy=_scale(_mi_nats_from_matrix(joint_with_x(block_of, len(blocks))), exp.base),
+        mi_y1=_scale(_mi_nats_from_matrix(joint_with_x(y[:, 0], m)), exp.base),
         mi_xxhat=_scale(_mi_nats_from_matrix(W), exp.base),
         h_x_given_xhat=conditional_entropy(joint, exp.base),
         beta=compute_beta(exp.channel, exp.base),

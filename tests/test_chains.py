@@ -1,4 +1,5 @@
 """End-to-end chains: prior, channel, estimator, relation."""
+import dataclasses
 import itertools
 import math
 from collections import Counter
@@ -39,8 +40,12 @@ from fanokit.chains import (
     estimator_from_json,
     experiment_from_json,
 )
-from fanokit.distributions import _kron_rows
-from fanokit.divergences import _mi_nats_from_matrix
+from fanokit.distributions import (
+    JointDistribution,
+    _kron_rows,
+    event_probability,
+)
+from fanokit.divergences import _mi_nats_from_matrix, _scale, conditional_entropy
 from fanokit.errors import InconsistentBounds, StateSpaceTooLarge
 
 # mpmath, 50 digits: worst-pair divergence of the (0.9/0.2) asymmetric channel
@@ -428,6 +433,128 @@ def test_monte_carlo_plug_in_information_matches_a_counting_reference():
     want = math.fsum(c / trials * math.log(c * trials / (xs[a] * ys[b]))
                      for (a, b), c in pairs.items())
     assert simulate_chain(exp, trials, seed=6).mi_xy == pytest.approx(want, abs=1e-12)
+
+
+def reference_inverse_cdf(cum, u):
+    """One draw per u: a rows x columns mask, reduced and capped."""
+    return np.minimum((cum <= u[:, None]).sum(axis=1), cum.shape[-1] - 1)
+
+
+def reference_distinct_blocks(y):
+    """Distinct rows of y by a lexsort over every column."""
+    order = np.lexsort(y.T[::-1])
+    y = y[order]
+    first = np.ones(len(y), dtype=bool)
+    first[1:] = (y[1:] != y[:-1]).any(axis=1)
+    index = np.empty(len(y), dtype=np.intp)
+    index[order] = np.cumsum(first) - 1
+    return y[first], index
+
+
+def reference_simulate_chain(exp, trials, seed):
+    """The Monte Carlo chain with fancy-index gathers, mask-reduced draws,
+    lexsorted blocks and np.add.at tallies (the reference for the fast path)."""
+    rng = philox(seed)
+    nx = len(exp.prior)
+    m = len(exp.channel.output_outcomes)
+    n = exp.n_samples
+    x_idx = reference_inverse_cdf(np.cumsum(exp.prior.weights), rng.random(trials))
+    cum_y = np.cumsum(exp.channel.matrix, axis=1)[x_idx]
+    y = np.empty((trials, n), dtype=np.intp)
+    for kk in range(n):
+        y[:, kk] = reference_inverse_cdf(cum_y, rng.random(trials))
+    blocks, block_of = reference_distinct_blocks(y)
+    xhat_labels, picks, E = _resolve_estimator(exp.estimator, exp.channel, blocks)
+    if picks is not None:
+        xhat_idx = picks[block_of]
+    else:
+        xhat_idx = reference_inverse_cdf(np.cumsum(E, axis=1)[block_of],
+                                         rng.random(trials))
+    counts = np.zeros((nx, len(xhat_labels)))
+    np.add.at(counts, (x_idx, xhat_idx), 1.0)
+    W = counts / trials
+    joint = JointDistribution(exp.prior.outcomes, xhat_labels, W)
+    p_rel = event_probability(joint, exp.relation)
+    counts_y1 = np.zeros((nx, m))
+    np.add.at(counts_y1, (x_idx, y[:, 0]), 1.0)
+    counts_xy = np.bincount(x_idx * len(blocks) + block_of,
+                            minlength=nx * len(blocks)).reshape(nx, len(blocks))
+    return ChainSummary(
+        joint_xxhat=joint,
+        p_rel=p_rel,
+        mi_xy=_scale(_mi_nats_from_matrix(counts_xy / trials), exp.base),
+        mi_y1=_scale(_mi_nats_from_matrix(counts_y1 / trials), exp.base),
+        mi_xxhat=_scale(_mi_nats_from_matrix(W), exp.base),
+        h_x_given_xhat=conditional_entropy(joint, exp.base),
+        beta=compute_beta(exp.channel, exp.base),
+        exact=False,
+        mc_stderr=math.sqrt(max(p_rel * (1.0 - p_rel), 0.0) / trials),
+    )
+
+
+def summary_bits(s):
+    """Every field of a summary, floats as their exact bits."""
+    fields = [getattr(s, f.name) for f in dataclasses.fields(s) if f.name != "joint_xxhat"]
+    joint = s.joint_xxhat
+    return (joint.weights.tobytes(), joint.row_outcomes, joint.col_outcomes,
+            [v.hex() if isinstance(v, float) else v for v in fields])
+
+
+def sampled_experiment(rng, nx, m, n, estimator, zeros):
+    """A chain of the given shape; with zeros, prior, channel and estimator
+    rows may hold zero weights."""
+    kind = "zeros" if zeros else "dirichlet"
+    prior = channel_rows(rng, kind, 1, nx)[0]
+    channel = Channel(tuple(range(nx)), tuple(range(m)), channel_rows(rng, kind, nx, m))
+    if estimator == "ml":
+        est = MLEstimator()
+    elif estimator == "map":
+        est = MapEstimator({b: int(rng.integers(nx))
+                            for b in itertools.product(range(m), repeat=n)},
+                           tuple(range(nx)))
+    else:
+        inputs = tuple(range(m)) if n == 1 else tuple(
+            itertools.product(range(m), repeat=n))
+        est = ChannelEstimator(Channel(inputs, ("a", "b", "c"),
+                                       channel_rows(rng, kind, len(inputs), 3)))
+    return Experiment(FiniteDistribution(tuple(range(nx)), prior), channel, est,
+                      equality_relation(), n_samples=n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(1, 5), n=st.integers(1, 6), nx=st.integers(1, 4),
+       estimator=st.sampled_from(["ml", "map", "channel"]), zeros=st.booleans(),
+       trials=st.sampled_from([1, 2, 37, 2000]), seed=st.integers(0, 2 ** 31 - 1))
+def test_simulate_chain_matches_the_reference_bit_for_bit(m, n, nx, estimator, zeros,
+                                                          trials, seed):
+    exp = sampled_experiment(philox(seed, 1), nx, m, n, estimator, zeros)
+    assert summary_bits(simulate_chain(exp, trials, seed)) == summary_bits(
+        reference_simulate_chain(exp, trials, seed))
+
+
+def test_simulate_chain_matches_the_reference_past_int64_codes():
+    # 4^40 block codes pass int64, so the codes are re-ranked on the way
+    exp = sampled_experiment(philox(3), 4, 4, 40, "ml", zeros=False)
+    assert summary_bits(simulate_chain(exp, 5000, 9)) == summary_bits(
+        reference_simulate_chain(exp, 5000, 9))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 40),
+       columns=st.lists(st.tuples(st.sampled_from([-2 ** 60, -3, 0, 2 ** 60]),
+                                  st.sampled_from([0, 1, 5, 2 ** 40])),
+                        min_size=1, max_size=8),
+       seed=st.integers(0, 2 ** 31 - 1))
+def test_distinct_blocks_match_the_lexsort_reference(rows, columns, seed):
+    # a few values per column, so rows repeat; columns of span 2^40 push the
+    # codes past int64 from the third on, and far-off values must not
+    rng = philox(seed)
+    y = np.stack([rng.choice(rng.integers(low, low + width + 1, size=3), size=rows)
+                  for low, width in columns], axis=1)
+    blocks, index = _distinct_blocks(y)
+    want_blocks, want_index = reference_distinct_blocks(y)
+    assert blocks.dtype == want_blocks.dtype
+    assert np.array_equal(blocks, want_blocks) and np.array_equal(index, want_index)
 
 
 class TestCertify:
