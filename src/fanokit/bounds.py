@@ -9,9 +9,10 @@ slack = bound_value - observed; for lower-bound checks (observed >= bound,
 the distance/continuous exceedance bounds) slack = observed - bound_value.
 Either way a report holds iff slack >= -solver_tolerance.
 
-The counting and the continuous exceedance bounds (mi_distance_bound,
-continuous_fano_bound) are one inequality under two measures, counting
-measure and volume; both evaluate it through _exceedance_bound.
+Every bound evaluates one KL kernel (_kl_ratio), one order-alpha ratio
+(_renyi_ratio) and one solver (_feasible_sup). The counting and continuous
+exceedance bounds are the KL bound for the success event read at its
+complement, under counting measure and volume, through _exceedance_bound.
 """
 from __future__ import annotations
 
@@ -65,7 +66,7 @@ from .relations import (
 
 SOLVE_GRID_POINTS = 1024
 UNIFORM_TOLERANCE = 1e-12
-# bisection width of every solver: solve_diffusion and the exceedance bounds
+# bisection width of _feasible_sup, the solver of every self-consistent bound
 SOLVE_TOLERANCE = 1e-10
 # solver_tolerance of the entropy-valued checks (entropy-version, distance)
 ENTROPY_CHECK_TOLERANCE = 1e-10
@@ -171,6 +172,16 @@ def _check_window(p_min, p_max) -> tuple[float, float]:
     return p_min, p_max
 
 
+def _check_whole(value, name: str) -> int:
+    """A whole number given as an int or an integral float."""
+    try:
+        if not isinstance(value, bool) and int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise FanoError(f"{name}: must be a whole number, got {value!r}")
+
+
 def _check_order(alpha) -> float:
     """Order for the order-alpha diffusion bound: 0 < alpha < inf, alpha != 1."""
     a = _check_alpha(alpha)
@@ -192,8 +203,14 @@ def _log_ratio(p_min: float, p_max: float) -> float:
 
 # -- core right-hand sides (nats) ------------------------------------------
 
+def _kl_ratio(div: float, h: float, p_min: float, log_ratio: float) -> float:
+    """The KL diffusion bound (div + h + ln(1 - p_min)) / log_ratio, given the
+    binary entropy h of the event probability and the window's log ratio."""
+    return (div + h + math.log1p(-p_min)) / log_ratio
+
+
 def _kl_rhs_nats(div: float, p: float, p_min: float, p_max: float) -> float:
-    return (div + _binary_entropy_nats(p) + math.log1p(-p_min)) / _log_ratio(p_min, p_max)
+    return _kl_ratio(div, _binary_entropy_nats(p), p_min, _log_ratio(p_min, p_max))
 
 
 # Realizable inputs always have div + h_alpha(p) + ln(1 - p_min) >= 0, but at
@@ -203,13 +220,34 @@ def _kl_rhs_nats(div: float, p: float, p_min: float, p_max: float) -> float:
 RENYI_ZERO_BAND = 1e-12
 
 
+def _renyi_ratio(div: float, alpha: float, p: float,
+                 p_min: float, p_max: float) -> tuple[float, float, float]:
+    """Exponent term a = div + h_alpha(p) + ln(1 - p_min), numerator
+    expm1((alpha-1) a) and denominator expm1((alpha-1) ln((1-p_min)/p_max))
+    of the cleared order-alpha ratio RHS^alpha = num / den (inf on overflow).
+    Dropping the power-sum factor p^a + (1-p)^a from the numerator is only
+    sound when the factor is <= 1, i.e. for orders above one."""
+    a1 = alpha - 1.0
+    a_val = div + _binary_renyi_entropy_nats(p, alpha) + math.log1p(-p_min)
+    try:
+        num = math.expm1(a1 * a_val)
+    except OverflowError:
+        num = math.inf
+    if alpha < 1.0:
+        num *= p ** alpha + (1.0 - p) ** alpha
+    try:
+        den = math.expm1(a1 * _log_ratio(p_min, p_max))
+    except OverflowError:
+        den = math.inf
+    return a_val, num, den
+
+
 def _renyi_rhs_nats(div: float, alpha: float, p: float,
                     p_min: float, p_max: float) -> float:
     """RHS of the order-alpha diffusion bound; raises InconsistentBounds when
     the exponent combination is negative beyond rounding (divergence too
     small for the window, so the cleared ratio would be negative)."""
-    a1 = alpha - 1.0
-    a_val = div + _binary_renyi_entropy_nats(p, alpha) + math.log1p(-p_min)
+    a_val, num, den = _renyi_ratio(div, alpha, p, p_min, p_max)
     if a_val < 0.0:
         if a_val >= -RENYI_ZERO_BAND:
             return 0.0
@@ -217,19 +255,6 @@ def _renyi_rhs_nats(div: float, alpha: float, p: float,
             "divergence: too small for the occupancy window at this order "
             "(the bound's ratio would be negative)"
         )
-    try:
-        num = math.expm1(a1 * a_val)
-    except OverflowError:
-        num = math.inf
-    if alpha < 1.0:
-        # Dropping the power-sum factor p^a + (1-p)^a from the numerator is
-        # only sound when the factor is <= 1, i.e. for orders above one;
-        # below one it must stay or the bound fails on tight windows.
-        num *= p ** alpha + (1.0 - p) ** alpha
-    try:
-        den = math.expm1(a1 * _log_ratio(p_min, p_max))
-    except OverflowError:
-        den = math.inf
     if num == 0.0:
         return 0.0
     ratio = num / den
@@ -262,24 +287,24 @@ def _entropy_rhs_nats(h_x: float, p_not: float, p_min: float, p_max: float) -> f
 
 # -- diffusion checks -------------------------------------------------------
 
-def check_renyi_diffusion(p: float, inputs: BoundInputs,
-                          tolerance: float = 1e-9) -> BoundReport:
-    """Check p <= order-alpha RHS for the supplied scalar inputs."""
+def _check_diffusion(p: float, inputs: BoundInputs, tolerance: float,
+                     kl: bool) -> BoundReport:
+    """check_kl_diffusion and check_renyi_diffusion: the KL form when kl is
+    set (inputs.alpha is then not read), else the order inputs.alpha."""
     p = _check_prob(p, "p")
-    alpha = _check_order(inputs.alpha)
+    alpha = "kl" if kl else _check_order(inputs.alpha)
     p_min, p_max = _check_window(inputs.p_min, inputs.p_max)
     div = _check_divergence(inputs.divergence) * _ln_base(inputs.base)
-    notes = ""
     if math.isinf(div):
-        rhs = math.inf
-        notes = "divergence is infinite; bound is vacuous"
+        rhs, notes = math.inf, "divergence is infinite; bound is vacuous"
     else:
-        rhs = _renyi_rhs_nats(div, alpha, p, p_min, p_max)
+        rhs = (_kl_rhs_nats(div, p, p_min, p_max) if kl
+               else _renyi_rhs_nats(div, alpha, p, p_min, p_max))
         parts = []
-        if alpha < 1.0:
+        if not kl and alpha < 1.0:
             parts.append("order < 1: right side keeps the binary power-sum factor")
         if rhs >= 1.0:
-            parts.append("bound value >= 1; vacuous at this order")
+            parts.append("bound value >= 1; vacuous" + ("" if kl else " at this order"))
         notes = "; ".join(parts)
     return BoundReport(
         mode="check", bound_value=rhs, observed=p, slack=rhs - p,
@@ -288,25 +313,16 @@ def check_renyi_diffusion(p: float, inputs: BoundInputs,
     )
 
 
+def check_renyi_diffusion(p: float, inputs: BoundInputs,
+                          tolerance: float = 1e-9) -> BoundReport:
+    """Check p <= order-alpha RHS for the supplied scalar inputs."""
+    return _check_diffusion(p, inputs, tolerance, kl=False)
+
+
 def check_kl_diffusion(p: float, inputs: BoundInputs,
                        tolerance: float = 1e-9) -> BoundReport:
     """Check p <= KL RHS (the order -> 1 limit form)."""
-    p = _check_prob(p, "p")
-    p_min, p_max = _check_window(inputs.p_min, inputs.p_max)
-    div = _check_divergence(inputs.divergence) * _ln_base(inputs.base)
-    notes = ""
-    if math.isinf(div):
-        rhs = math.inf
-        notes = "divergence is infinite; bound is vacuous"
-    else:
-        rhs = _kl_rhs_nats(div, p, p_min, p_max)
-        if rhs >= 1.0:
-            notes = "bound value >= 1; vacuous"
-    return BoundReport(
-        mode="check", bound_value=rhs, observed=p, slack=rhs - p,
-        solver_tolerance=tolerance, notes=notes,
-        alpha="kl", p_min=p_min, p_max=p_max, divergence=inputs.divergence,
-    )
+    return _check_diffusion(p, inputs, tolerance, kl=True)
 
 
 # -- solve mode -------------------------------------------------------------
@@ -324,98 +340,84 @@ def _bisect_boundary(g, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _last_feasible(g, step: float, peak: float | None) -> int | None:
-    """Largest grid index i below the last with g(i * step) >= 0, or None.
+def _feasible_sup(g, peak: float | None) -> float:
+    """Supremum of {p in [0, 1] : g(p) >= 0}: the last feasible point of a
+    uniform grid, refined by bisection; NoFeasiblePoint if there is none.
 
     With no peak, every grid point is scanned. A concave g with its maximum
     at peak has contiguous feasible indices: if any is feasible, one of the
     two grid points around peak is, and right of peak g decreases, so the
     last feasible index is found by binary search.
     """
+    step = 1.0 / (SOLVE_GRID_POINTS - 1)
     last = SOLVE_GRID_POINTS - 1
+    if g(last * step) >= 0.0:
+        return 1.0
+    i = None
     if peak is None:
-        for i in range(last - 1, -1, -1):
-            if g(i * step) >= 0.0:
-                return i
-        return None
-    below = min(int(peak / step), last - 1)
-    if g((below + 1) * step) < 0.0:      # then every point right of peak is infeasible
-        return below if g(below * step) >= 0.0 else None
-    lo, hi = below + 1, last             # g(lo * step) >= 0 > g(hi * step)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if g(mid * step) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+        i = next((j for j in range(last - 1, -1, -1) if g(j * step) >= 0.0), None)
+    else:
+        below = min(int(peak / step), last - 1)
+        if g((below + 1) * step) >= 0.0:
+            lo, hi = below + 1, last     # g(lo * step) >= 0 > g(hi * step)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if g(mid * step) >= 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            i = lo
+        elif g(below * step) >= 0.0:     # every point right of peak is infeasible
+            i = below
+    if i is None:
+        raise NoFeasiblePoint(
+            "inputs: no feasible probability on the solve grid; the "
+            "divergence is too small for the occupancy window "
+            "(or the feasible window is narrower than the grid step)"
+        )
+    return _bisect_boundary(g, i * step, (i + 1) * step, SOLVE_TOLERANCE)
 
 
 def solve_diffusion(inputs: BoundInputs) -> BoundReport:
     """Largest p consistent with the self-referential bound p <= RHS(p).
 
-    Finds the last feasible point of a uniform grid (by binary search for
-    the concave KL margin, by a scan for other orders), refines the sign
-    change after it by bisection, and returns the supremum of the feasible
-    set. Raises NoFeasiblePoint when no grid point is feasible (possible when
+    _feasible_sup searches the margin RHS(p) - p by binary search for the
+    concave KL margin and by a scan for the cleared order-alpha margin.
+    Raises NoFeasiblePoint when no grid point is feasible (possible when
     p_min > 0 makes the inputs unrealizable).
     """
     p_min, p_max = _check_window(inputs.p_min, inputs.p_max)
     div = _check_divergence(inputs.divergence)
     is_kl = isinstance(inputs.alpha, str) and inputs.alpha.lower() == "kl"
-    alpha = None if is_kl else _check_order(inputs.alpha)
+    alpha = "kl" if is_kl else _check_order(inputs.alpha)
     if math.isinf(div):
         return BoundReport(
             mode="solve", bound_value=1.0, feasible_sup=1.0,
             solver_tolerance=SOLVE_TOLERANCE,
             notes="divergence is infinite; every p is feasible (vacuous)",
-            alpha="kl" if is_kl else alpha, p_min=p_min, p_max=p_max,
+            alpha=alpha, p_min=p_min, p_max=p_max,
             divergence=inputs.divergence,
         )
     div_nats = div * _ln_base(inputs.base)
-    log_ratio = _log_ratio(p_min, p_max)
 
     if is_kl:
-        def g(p: float) -> float:
-            return _kl_rhs_nats(div_nats, p, p_min, p_max) - p
+        # the KL margin is concave with its maximum at p_max / (p_max + 1 - p_min)
+        sup = _feasible_sup(lambda p: _kl_rhs_nats(div_nats, p, p_min, p_max) - p,
+                            p_max / (p_max + 1.0 - p_min))
     else:
-        a1 = alpha - 1.0
         sign = 1.0 if alpha > 1.0 else -1.0
-        try:
-            den = math.expm1(a1 * log_ratio)
-        except OverflowError:
-            den = math.inf
 
         def g(p: float) -> float:
             # cleared-denominator feasibility margin; same sign as RHS(p) - p
             # wherever the RHS is defined, finite everywhere on [0, 1]
-            a_val = div_nats + _binary_renyi_entropy_nats(p, alpha) + math.log1p(-p_min)
-            try:
-                num = math.expm1(a1 * a_val)
-            except OverflowError:
-                num = math.inf
-            if alpha < 1.0:
-                num *= p ** alpha + (1.0 - p) ** alpha
+            _, num, den = _renyi_ratio(div_nats, alpha, p, p_min, p_max)
             return sign * (num - (p ** alpha) * den)
 
-    step = 1.0 / (SOLVE_GRID_POINTS - 1)
-    last = SOLVE_GRID_POINTS - 1
-    if g(last * step) >= 0.0:
-        sup = 1.0
-    else:
-        # the KL margin is concave with its maximum at p_max / (p_max + 1 - p_min)
-        i = _last_feasible(g, step, p_max / (p_max + 1.0 - p_min) if is_kl else None)
-        if i is None:
-            raise NoFeasiblePoint(
-                "inputs: no feasible probability on the solve grid; the "
-                "divergence is too small for the occupancy window "
-                "(or the feasible window is narrower than the grid step)"
-            )
-        sup = _bisect_boundary(g, i * step, (i + 1) * step, SOLVE_TOLERANCE)
+        sup = _feasible_sup(g, None)
     return BoundReport(
         mode="solve", bound_value=sup, feasible_sup=sup,
         solver_tolerance=SOLVE_TOLERANCE, notes="",
-        alpha="kl" if is_kl else alpha, p_min=p_min, p_max=p_max,
+        alpha=alpha, p_min=p_min, p_max=p_max,
         divergence=inputs.divergence,
     )
 
@@ -610,55 +612,44 @@ def distance_fano_bound(joint: JointDistribution, rho, t: float,
     )
 
 
-def _concave_crossing(g) -> float:
-    """Infimum of {q in [0,1] : g(q) >= 0} for concave g with g(1) >= 0."""
-    if g(0.0) >= 0.0:
-        return 0.0
-    return _bisect_boundary(lambda q: -g(q), 0.0, 1.0, SOLVE_TOLERANCE)
-
-
-def _exceedance_threshold(mi_nats: float, variant: str, log_ratio: float,
-                          q: float) -> float:
-    """1 - (I + offset) / ln(measure ratio); the offset is ln 2 for variant
-    "log2" and h(q) for "entropy"."""
-    offset = math.log(2.0) if variant == "log2" else binary_entropy(q)
-    return 1.0 - (mi_nats + offset) / log_ratio
-
-
 def _exceedance_bound(mi_nats: float, log_ratio: float, variant: str, p_t,
                       mode: str, tolerance: float, notes, **echo) -> BoundReport:
-    """The exceedance bound P(rho > t) >= threshold(P(rho > t)) under any
-    measure: log_ratio is ln(total measure / largest ball measure).
+    """The KL diffusion bound for the success event rho <= t at window
+    (0, ball / total), read for its complement under any measure:
+    P(rho > t) >= 1 - (I + h) / log_ratio, log_ratio = ln(total / ball). h is
+    h(q) at the exceedance q for "entropy" (h is symmetric), h(1/2) for "log2".
 
     check mode compares the observed p_t (slack = p_t - bound). solve mode
-    stores the infimum of the self-consistent set {q : q >= threshold(q)} in
-    feasible_sup: in closed form for "log2", by bisection of the concave
-    q - threshold(q) for "entropy". An infinite mutual information makes the
-    bound -inf (check) and the infimum 0 (solve). notes(q) gives the notes at
-    q, the observed p_t or the infimum; echo holds the input fields to echo.
+    stores the infimum of {q : q >= bound(q)} in feasible_sup: in closed
+    form for "log2", and for "entropy" as one minus the supremum success
+    probability, whose margin peaks at 1 / (1 + e^log_ratio). notes(q,
+    bound_at) gives the notes at q (p_t or the infimum), bound_at(q, ratio)
+    being the bound; echo holds the input fields to echo.
     """
-    def threshold(q: float) -> float:
-        return _exceedance_threshold(mi_nats, variant, log_ratio, q)
+    def bound_at(q: float, ratio: float = log_ratio) -> float:
+        h = _binary_entropy_nats(0.5 if variant == "log2" else q)
+        return 1.0 - _kl_ratio(mi_nats, h, 0.0, ratio)
 
     if mode == "check":
         if p_t is None:
             raise FanoError("p_t: check mode requires the observed exceedance probability")
         p_t = _check_prob(p_t, "p_t")
-        bound = -math.inf if math.isinf(mi_nats) else threshold(p_t)
+        bound = bound_at(p_t)
         return BoundReport(
             mode="check", bound_value=bound, observed=p_t, slack=p_t - bound,
-            solver_tolerance=tolerance, notes=notes(p_t), **echo)
+            solver_tolerance=tolerance, notes=notes(p_t, bound_at), **echo)
     if mode != "solve":
         raise FanoError(f"mode: expected 'check' or 'solve', got {mode!r}")
-    if math.isinf(mi_nats):
-        inf_q = 0.0
-    elif variant == "log2":
-        inf_q = min(max(threshold(0.0), 0.0), 1.0)
+    if variant == "log2":
+        inf_q = max(bound_at(0.0), 0.0)
     else:
-        inf_q = _concave_crossing(lambda q: q - threshold(q))
+        ball_share = math.exp(-log_ratio)
+        inf_q = 1.0 - _feasible_sup(
+            lambda s: _kl_ratio(mi_nats, _binary_entropy_nats(s), 0.0, log_ratio) - s,
+            ball_share / (1.0 + ball_share))
     return BoundReport(
         mode="solve", bound_value=inf_q, feasible_sup=inf_q,
-        solver_tolerance=SOLVE_TOLERANCE, notes=notes(inf_q), **echo)
+        solver_tolerance=SOLVE_TOLERANCE, notes=notes(inf_q, bound_at), **echo)
 
 
 def mi_distance_bound(mi: float, size: int, ball_max: int,
@@ -671,8 +662,8 @@ def mi_distance_bound(mi: float, size: int, ball_max: int,
     self-consistent set {q : q >= 1 - (mi + h(q)) / ln(size / ball_max)},
     stored in feasible_sup.
     """
-    size = int(size)
-    ball_max = int(ball_max)
+    size = _check_whole(size, "size")
+    ball_max = _check_whole(ball_max, "ball_max")
     if size < 1:
         raise FanoError(f"size: alphabet size must be >= 1, got {size!r}")
     if ball_max < 1:
@@ -689,7 +680,7 @@ def mi_distance_bound(mi: float, size: int, ball_max: int,
             "(lower-bound direction)")
     return _exceedance_bound(
         mi_nats, math.log(size) - math.log(ball_max), "entropy", p_t, mode,
-        tolerance, lambda q: note,
+        tolerance, lambda q, bound_at: note,
         alpha="kl", p_max=float(ball_max) / size, divergence=mi)
 
 
@@ -724,18 +715,15 @@ def continuous_fano_bound(mi: float, domain: ContinuousDomain,
         )
     mi_nats = _check_divergence(mi) * _ln_base(base)
 
-    def threshold(q: float, ball_vol: float) -> float:
-        return _exceedance_threshold(
-            mi_nats, variant, math.log(vol_domain) - math.log(ball_vol), q)
-
-    def notes(q: float) -> str:
+    def notes(q: float, bound_at) -> str:
         text = ("variant %s; ball volume %.17g +/- %.17g (%s)"
                 % (variant, ball, ball_err, method))
         if ball_err > 0.0:
             lo_vol = max(ball - ball_err, 1e-300)
             hi_vol = min(ball + ball_err, vol_domain * (1.0 - 1e-12))
             text += ("; bound in [%.17g, %.17g] across one volume standard error"
-                     % (threshold(q, hi_vol), threshold(q, lo_vol)))
+                     % (bound_at(q, math.log(vol_domain) - math.log(hi_vol)),
+                        bound_at(q, math.log(vol_domain) - math.log(lo_vol))))
         if mode == "solve":
             text += "; feasible_sup stores the infimum (lower-bound direction)"
         return text

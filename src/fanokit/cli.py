@@ -260,7 +260,7 @@ def _cmd_bound(args, solve: bool) -> int:
             if key not in obj:
                 raise FanoError(f"{key}: required for the mi-distance bound")
         report = _bounds.mi_distance_bound(
-            jsonio.parse_extended(obj["mi"]), int(obj["size"]), int(obj["ball_max"]),
+            jsonio.parse_extended(obj["mi"]), obj["size"], obj["ball_max"],
             p_t=None if solve else obj.get("p_t"),
             mode="solve" if solve else "check",
             base=base, tolerance=args.tolerance)

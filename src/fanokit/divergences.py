@@ -43,9 +43,12 @@ def _scale(nats: float, base: float) -> float:
 
 
 def _check_alpha(alpha: float) -> float:
-    a = float(alpha)
+    try:
+        a = float(alpha)
+    except (TypeError, ValueError):
+        a = math.nan
     if math.isnan(a) or a < 0:
-        raise NegativeAlpha(f"alpha: order must be >= 0, got {alpha!r}")
+        raise NegativeAlpha(f"alpha: order must be a number >= 0, got {alpha!r}")
     return a
 
 

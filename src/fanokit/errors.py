@@ -35,7 +35,7 @@ class MismatchedOutcomeSets(FanoError):
 
 
 class NegativeAlpha(FanoError):
-    pass
+    """An order that is negative, NaN or not a number at all."""
 
 
 class OutOfRangeProbability(FanoError):

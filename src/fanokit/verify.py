@@ -15,7 +15,7 @@ from typing import Callable
 from .bounds import _kl_rhs_nats, _renyi_rhs_nats
 from .distributions import FiniteDistribution
 from .divergences import KL_ALPHA_BAND, _check_prob, _kl_nats, _renyi_nats, kl_divergence
-from .errors import GridTooLarge, NumericalInstability
+from .errors import FanoError, GridTooLarge, NumericalInstability
 
 MAX_SWEEP_INSTANCES = 5_000_000
 POWER_SUM_GRID_POINTS = 1001
@@ -93,6 +93,9 @@ def sweep_diffusion(spec: SweepSpec) -> SweepSummary:
     d = spec.weight_grid_denominator
     if d < 1:
         raise GridTooLarge(f"weight_grid_denominator: must be >= 1, got {d!r}")
+    if any(k < 1 for k in spec.outcome_counts):
+        raise FanoError(
+            f"outcome_counts: every count must be >= 1, got {spec.outcome_counts!r}")
     planned = _planned_instances(spec)
     if planned > MAX_SWEEP_INSTANCES:
         raise GridTooLarge(

@@ -20,6 +20,7 @@ from fanokit import (
     MLEstimator,
     Relation,
     RelationBounds,
+    binary_entropy,
     binary_kl,
     binary_renyi_divergence,
     check_kl_diffusion,
@@ -35,15 +36,17 @@ from fanokit import (
     mutual_information,
     reports_to_csv,
     solve_diffusion,
+    sup_ball_volume,
 )
 from fanokit.bounds import (
+    RENYI_ZERO_BAND,
     SOLVE_GRID_POINTS,
     SOLVE_TOLERANCE,
     _bisect_boundary,
     _kl_rhs_nats,
     _log_ratio,
 )
-from fanokit.divergences import _binary_entropy_nats
+from fanokit.divergences import _binary_entropy_nats, _binary_renyi_entropy_nats
 from fanokit.errors import (
     AlphaIsOne,
     BadPminPmax,
@@ -52,6 +55,7 @@ from fanokit.errors import (
     InconsistentBounds,
     NoFeasiblePoint,
     NonUniformPrior,
+    NumericalInstability,
     OutOfRangeProbability,
     RangeMismatch,
     ZeroVolumeDenominator,
@@ -94,6 +98,12 @@ class TestWindowValidation:
         for alpha in (0.0, math.inf):
             with pytest.raises(FanoError):
                 check_renyi_diffusion(0.5, BoundInputs(0.1, alpha, 0.0, 0.5))
+
+    @pytest.mark.parametrize("alpha", ["kl", None, "two", [2.0]])
+    def test_non_numeric_orders_name_alpha(self, alpha):
+        # check_renyi_diffusion has no KL form, so "kl" is no order here
+        with pytest.raises(FanoError, match="^alpha: "):
+            check_renyi_diffusion(0.5, BoundInputs(0.1, alpha, 0.0, 0.5))
 
 
 class TestCheckMode:
@@ -458,6 +468,18 @@ class TestMiDistance:
         with pytest.raises(FanoError, match="size"):
             mi_distance_bound(0.0, 0, 1, p_t=0.5)
 
+    @pytest.mark.parametrize("size, ball_max, field", [
+        (6.9, 2, "size"), (6, 2.5, "ball_max"), ("6", 2, "size"), (6, None, "ball_max"),
+        (math.inf, 2, "size"), (math.nan, 2, "size"), (True, 1, "size"),
+    ])
+    def test_counts_must_be_whole_numbers(self, size, ball_max, field):
+        with pytest.raises(FanoError, match="^%s: must be a whole number" % field):
+            mi_distance_bound(0.3, size, ball_max, p_t=0.5)
+
+    def test_integral_floats_count_as_whole(self):
+        want = mi_distance_bound(0.3, 6, 2, p_t=0.5)
+        assert mi_distance_bound(0.3, 6.0, 2.0, p_t=0.5) == want
+
 
 class TestContinuous:
     dom = ContinuousDomain(((0.0, 1.0),), "abs", 0.1)
@@ -519,6 +541,159 @@ def test_counting_and_volume_bounds_are_one_inequality(mi, p_t, size, data):
     volume = continuous_fano_bound(mi, interval, variant="entropy", mode="solve",
                                    volume_method="exact")
     assert counting.feasible_sup == volume.feasible_sup
+
+
+def exceedance_threshold_reference(mi_nats, variant, log_ratio, q):
+    """The exceedance bound as written before it went through the KL kernel."""
+    if math.isinf(mi_nats):
+        return -math.inf
+    offset = math.log(2.0) if variant == "log2" else binary_entropy(q)
+    return 1.0 - (mi_nats + offset) / log_ratio
+
+
+def exceedance_solve_reference(mi_nats, log_ratio):
+    """The entropy-variant infimum as found before the shared solver: bisect
+    the concave q - threshold(q) over all of [0, 1]."""
+    if math.isinf(mi_nats):
+        return 0.0
+
+    def g(q):
+        return q - exceedance_threshold_reference(mi_nats, "entropy", log_ratio, q)
+
+    if g(0.0) >= 0.0:
+        return 0.0
+    return _bisect_boundary(lambda q: -g(q), 0.0, 1.0, SOLVE_TOLERANCE)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mi=st.one_of(st.floats(0.0, 5.0), st.just(math.inf)), p_t=st.floats(0.0, 1.0),
+       size=st.integers(2, 10 ** 9), base=st.sampled_from([math.e, 2.0]),
+       width=st.floats(1.0, 50.0), data=st.data())
+def test_exceedance_check_matches_the_old_formula(mi, p_t, size, base, width, data):
+    b = data.draw(st.integers(1, size - 1))
+    mi_nats = mi * math.log(base)
+    want = exceedance_threshold_reference(
+        mi_nats, "entropy", math.log(size) - math.log(b), p_t)
+    r = mi_distance_bound(mi, size, b, p_t=p_t, base=base)
+    assert (r.bound_value, r.slack) == (want, p_t - want)
+    t = data.draw(st.floats(1e-3, 0.49 * width))
+    dom = ContinuousDomain(((0.0, width),), "abs", t)
+    ball, _ = sup_ball_volume(dom, method="exact")
+    log_ratio = math.log(dom.volume) - math.log(ball)
+    for variant in ("log2", "entropy"):
+        want = exceedance_threshold_reference(mi_nats, variant, log_ratio, p_t)
+        r = continuous_fano_bound(mi, dom, p_t=p_t, variant=variant,
+                                  volume_method="exact", base=base)
+        assert (r.bound_value, r.slack) == (want, p_t - want)
+    # the log2 solve keeps its closed form
+    want = min(max(exceedance_threshold_reference(mi_nats, "log2", log_ratio, 0.0),
+                   0.0), 1.0)
+    r = continuous_fano_bound(mi, dom, mode="solve", volume_method="exact", base=base)
+    assert r.feasible_sup == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(mi=st.one_of(st.floats(0.0, 5.0), st.just(math.inf)),
+       size=st.integers(2, 10 ** 12), data=st.data())
+def test_entropy_exceedance_solve_matches_the_old_bisection(mi, size, data):
+    b = data.draw(st.integers(1, size - 1))
+    want = exceedance_solve_reference(mi, math.log(size) - math.log(b))
+    got = mi_distance_bound(mi, size, b, mode="solve").feasible_sup
+    assert abs(got - want) <= SOLVE_TOLERANCE
+    if math.isinf(mi):
+        assert got == want == 0.0
+
+
+def renyi_rhs_reference(div, alpha, p, p_min, p_max):
+    """_renyi_rhs_nats as written before it shared _renyi_ratio."""
+    a1 = alpha - 1.0
+    a_val = div + _binary_renyi_entropy_nats(p, alpha) + math.log1p(-p_min)
+    if a_val < 0.0:
+        if a_val >= -RENYI_ZERO_BAND:
+            return 0.0
+        raise InconsistentBounds("divergence")
+    try:
+        num = math.expm1(a1 * a_val)
+    except OverflowError:
+        num = math.inf
+    if alpha < 1.0:
+        num *= p ** alpha + (1.0 - p) ** alpha
+    try:
+        den = math.expm1(a1 * _log_ratio(p_min, p_max))
+    except OverflowError:
+        den = math.inf
+    if num == 0.0:
+        return 0.0
+    ratio = num / den
+    if ratio < 0.0:
+        raise NumericalInstability("alpha")
+    if math.isinf(ratio):
+        return math.inf
+    return ratio ** (1.0 / alpha)
+
+
+def renyi_solve_reference(div, alpha, p_min, p_max):
+    """The order-alpha solve_diffusion as written before the shared solver,
+    with its inline cleared margin; None where no grid point is feasible."""
+    a1 = alpha - 1.0
+    sign = 1.0 if alpha > 1.0 else -1.0
+    try:
+        den = math.expm1(a1 * _log_ratio(p_min, p_max))
+    except OverflowError:
+        den = math.inf
+
+    def g(p):
+        a_val = div + _binary_renyi_entropy_nats(p, alpha) + math.log1p(-p_min)
+        try:
+            num = math.expm1(a1 * a_val)
+        except OverflowError:
+            num = math.inf
+        if alpha < 1.0:
+            num *= p ** alpha + (1.0 - p) ** alpha
+        return sign * (num - (p ** alpha) * den)
+
+    step = 1.0 / (SOLVE_GRID_POINTS - 1)
+    last = SOLVE_GRID_POINTS - 1
+    if g(last * step) >= 0.0:
+        return 1.0
+    for i in range(last - 1, -1, -1):
+        if g(i * step) >= 0.0:
+            return _bisect_boundary(g, i * step, (i + 1) * step, SOLVE_TOLERANCE)
+    return None
+
+
+def outcome(f, *args):
+    """f(*args), or the type of the FanoError or arithmetic error it raises."""
+    try:
+        return f(*args)
+    except (FanoError, ArithmeticError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=st.one_of(st.floats(0.01, 0.999), st.floats(1.001, 5.0),
+                       st.floats(5.0, 5000.0)),
+       p_min=st.one_of(st.just(0.0), st.floats(0.0, 0.98)),
+       share=st.floats(1e-6, 1.0, exclude_max=True), div=st.floats(0.0, 8.0),
+       p=st.floats(0.0, 1.0))
+def test_renyi_bound_and_solve_match_the_inline_ratio(alpha, p_min, share, div, p):
+    # orders in the thousands overflow expm1 in the denominator and, with
+    # divergences of a few nats, in the numerator too. This pins the shared
+    # ratio to the inline one as it was, faults included: inf / inf gives a
+    # NaN bound, and a huge ratio at a small order overflows its root.
+    p_max = (1.0 - p_min) * share
+    if p_min + p_max >= 1.0:
+        return
+    inputs = BoundInputs(div, alpha, p_min, p_max)
+    want = outcome(renyi_rhs_reference, div, alpha, p, p_min, p_max)
+    got = outcome(lambda: check_renyi_diffusion(p, inputs).bound_value)
+    assert repr(got) == repr(want)     # bit for bit, NaN included
+    want = renyi_solve_reference(div, alpha, p_min, p_max)
+    if want is None:
+        with pytest.raises(NoFeasiblePoint):
+            solve_diffusion(inputs)
+    else:
+        assert solve_diffusion(inputs).feasible_sup == want
 
 
 class TestReportPlumbing:

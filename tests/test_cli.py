@@ -256,6 +256,18 @@ class TestErrors:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_fractional_counts_are_refused_not_truncated(self, capsys):
+        body = '{"kind": "mi-distance", "mi": 0.3, "size": %s, "ball_max": %s, "p_t": 0.5}'
+        assert main(["bound", body % (6.9, 2)]) == 2
+        assert capsys.readouterr().err.startswith("error: size: must be a whole number")
+        assert main(["bound", body % (6, 2.5)]) == 2
+        assert capsys.readouterr().err.startswith("error: ball_max: must be a whole number")
+        assert main(["bound", body % ("6.0", "2.0")]) == 0
+
+    def test_sweep_outcome_count_zero_names_the_field(self, capsys):
+        assert main(["sweep", "--k", "0"]) == 2
+        assert capsys.readouterr().err.startswith("error: outcome_counts: ")
+
     def test_window_errors_surface_as_usage_errors(self):
         code, _, err = run_cli(
             "bound", '{"divergence": 0.1, "p_min": 0.5, "p_max": 0.5, "p": 0.5}'

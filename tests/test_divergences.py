@@ -119,6 +119,9 @@ def test_divergence_is_nonnegative(seed, k, alpha):
 def test_rejects_bad_arguments():
     with pytest.raises(NegativeAlpha):
         renyi_divergence(P_37, Q_64, -0.5)
+    for alpha in ("kl", None, "two"):
+        with pytest.raises(NegativeAlpha, match="^alpha: order must be a number"):
+            renyi_divergence(P_37, Q_64, alpha)
     with pytest.raises(MismatchedOutcomeSets):
         renyi_divergence(P_37, FiniteDistribution((5, 6), (0.6, 0.4)), 2.0)
     with pytest.raises(OutOfRangeProbability):

@@ -12,7 +12,7 @@ from fanokit import (
     verify_power_sum,
     verify_support_bound,
 )
-from fanokit.errors import GridTooLarge, NumericalInstability
+from fanokit.errors import FanoError, GridTooLarge, NumericalInstability
 from fanokit.verify import _planned_instances
 
 
@@ -58,6 +58,11 @@ class TestSweep:
 
     def test_the_default_plan_counts_tight_windows_only_where_they_run(self):
         assert _planned_instances(SweepSpec()) == 615_600
+
+    @pytest.mark.parametrize("counts", [(0,), (2, 0), (-1, 3)])
+    def test_outcome_counts_below_one_are_refused(self, counts):
+        with pytest.raises(FanoError, match="^outcome_counts: "):
+            sweep_diffusion(SweepSpec(outcome_counts=counts, weight_grid_denominator=4))
 
     @pytest.mark.parametrize("alpha", [1.0, 0.0, math.inf, -2.0])
     def test_unusable_orders_are_refused(self, alpha):
