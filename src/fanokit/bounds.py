@@ -16,6 +16,7 @@ complement, under counting measure and volume, through _exceedance_bound.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Any, Optional
@@ -203,14 +204,55 @@ def _log_ratio(p_min: float, p_max: float) -> float:
 
 # -- core right-hand sides (nats) ------------------------------------------
 
-def _kl_ratio(div: float, h: float, p_min: float, log_ratio: float) -> float:
+# Entries in each memo table of divergence-free kernel terms. A sweep keys a
+# few dozen events and windows per order; a solve keys one window and about
+# a thousand grid points, which pass through without evicting a sweep's
+# working set from the window table.
+TERM_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=TERM_CACHE_SIZE)
+def _event_terms(p: float, alpha: Optional[float]) -> tuple[float, float]:
+    """h_alpha(p), the Shannon h(p) for alpha None, and the factor the
+    order-alpha numerator keeps: p^alpha + (1-p)^alpha below order one, 1.0
+    otherwise (multiplying by 1.0 is exact)."""
+    if alpha is None:
+        return _binary_entropy_nats(p), 1.0
+    power_sum = p ** alpha + (1.0 - p) ** alpha if alpha < 1.0 else 1.0
+    return _binary_renyi_entropy_nats(p, alpha), power_sum
+
+
+@functools.lru_cache(maxsize=TERM_CACHE_SIZE)
+def _window_terms(p_min: float, p_max: float,
+                  alpha: Optional[float]) -> tuple[float, float, float]:
+    """ln(1 - p_min), the log ratio L = ln((1 - p_min) / p_max) and, for an
+    order alpha (None for KL, which gives nan), the denominator
+    expm1((alpha - 1) L) of the cleared order-alpha ratio, inf on overflow.
+
+    The sign of a zero ln(1 - p_min) follows whichever of p_min = 0.0 and
+    -0.0 filled the entry; it never shows, since it is only added to
+    div + h, which is never -0.0."""
+    log_keep = math.log1p(-p_min)
+    log_ratio = _log_ratio(p_min, p_max)
+    if alpha is None:
+        return log_keep, log_ratio, math.nan
+    try:
+        den = math.expm1((alpha - 1.0) * log_ratio)
+    except OverflowError:
+        den = math.inf
+    return log_keep, log_ratio, den
+
+
+def _kl_ratio(div: float, h: float, log_keep: float, log_ratio: float) -> float:
     """The KL diffusion bound (div + h + ln(1 - p_min)) / log_ratio, given the
-    binary entropy h of the event probability and the window's log ratio."""
-    return (div + h + math.log1p(-p_min)) / log_ratio
+    binary entropy h of the event probability, log_keep = ln(1 - p_min) and
+    the window's log ratio."""
+    return (div + h + log_keep) / log_ratio
 
 
 def _kl_rhs_nats(div: float, p: float, p_min: float, p_max: float) -> float:
-    return _kl_ratio(div, _binary_entropy_nats(p), p_min, _log_ratio(p_min, p_max))
+    log_keep, log_ratio, _ = _window_terms(p_min, p_max, None)
+    return _kl_ratio(div, _event_terms(p, None)[0], log_keep, log_ratio)
 
 
 # Realizable inputs always have div + h_alpha(p) + ln(1 - p_min) >= 0, but at
@@ -227,26 +269,32 @@ def _renyi_ratio(div: float, alpha: float, p: float,
     of the cleared order-alpha ratio RHS^alpha = num / den (inf on overflow).
     Dropping the power-sum factor p^a + (1-p)^a from the numerator is only
     sound when the factor is <= 1, i.e. for orders above one."""
-    a1 = alpha - 1.0
-    a_val = div + _binary_renyi_entropy_nats(p, alpha) + math.log1p(-p_min)
+    h, power_sum = _event_terms(p, alpha)
+    log_keep, _, den = _window_terms(p_min, p_max, alpha)
+    a_val = div + h + log_keep
     try:
-        num = math.expm1(a1 * a_val)
+        num = math.expm1((alpha - 1.0) * a_val)
     except OverflowError:
         num = math.inf
-    if alpha < 1.0:
-        num *= p ** alpha + (1.0 - p) ** alpha
-    try:
-        den = math.expm1(a1 * _log_ratio(p_min, p_max))
-    except OverflowError:
-        den = math.inf
-    return a_val, num, den
+    return a_val, num * power_sum, den
+
+
+def _log_ratio_past_overflow(a_val: float, num: float, alpha: float,
+                             p_min: float, p_max: float) -> float:
+    """ln(num / den) for a positive num when den overflowed (orders above
+    one): den is then e^((alpha-1) L) to double precision, and so is num
+    e^((alpha-1) a) when it overflowed too."""
+    a1 = alpha - 1.0
+    log_num = a1 * a_val if math.isinf(num) else math.log(num)
+    return log_num - a1 * _window_terms(p_min, p_max, alpha)[1]
 
 
 def _renyi_rhs_nats(div: float, alpha: float, p: float,
                     p_min: float, p_max: float) -> float:
     """RHS of the order-alpha diffusion bound; raises InconsistentBounds when
     the exponent combination is negative beyond rounding (divergence too
-    small for the window, so the cleared ratio would be negative)."""
+    small for the window, so the cleared ratio would be negative). inf
+    where the bound passes the double range."""
     a_val, num, den = _renyi_ratio(div, alpha, p, p_min, p_max)
     if a_val < 0.0:
         if a_val >= -RENYI_ZERO_BAND:
@@ -257,15 +305,19 @@ def _renyi_rhs_nats(div: float, alpha: float, p: float,
         )
     if num == 0.0:
         return 0.0
-    ratio = num / den
-    if ratio < 0.0:
-        raise NumericalInstability(
-            "alpha: numerator and denominator of the order-alpha ratio "
-            "disagree in sign"
-        )
-    if math.isinf(ratio):
+    try:
+        if math.isinf(den):
+            return math.exp(
+                _log_ratio_past_overflow(a_val, num, alpha, p_min, p_max) / alpha)
+        ratio = num / den
+        if ratio < 0.0:
+            raise NumericalInstability(
+                "alpha: numerator and denominator of the order-alpha ratio "
+                "disagree in sign"
+            )
+        return ratio ** (1.0 / alpha)
+    except OverflowError:     # the root of a huge ratio at a small order
         return math.inf
-    return ratio ** (1.0 / alpha)
 
 
 def _entropy_rhs_nats(h_x: float, p_not: float, p_min: float, p_max: float) -> float:
@@ -409,9 +461,17 @@ def solve_diffusion(inputs: BoundInputs) -> BoundReport:
 
         def g(p: float) -> float:
             # cleared-denominator feasibility margin; same sign as RHS(p) - p
-            # wherever the RHS is defined, finite everywhere on [0, 1]
-            _, num, den = _renyi_ratio(div_nats, alpha, p, p_min, p_max)
-            return sign * (num - (p ** alpha) * den)
+            # wherever the RHS is defined, never NaN on [0, 1]
+            a_val, num, den = _renyi_ratio(div_nats, alpha, p, p_min, p_max)
+            if not math.isinf(den):
+                return sign * (num - (p ** alpha) * den)
+            # den overflowed (orders above one): compare num >= p^alpha den in logs
+            if p == 0.0:
+                return num
+            if num <= 0.0:
+                return -1.0
+            return (_log_ratio_past_overflow(a_val, num, alpha, p_min, p_max)
+                    - alpha * math.log(p))
 
         sup = _feasible_sup(g, None)
     return BoundReport(

@@ -65,19 +65,28 @@ def _compositions(total: int, parts: int, minimum: int):
             yield (first,) + rest
 
 
+def _windows(q_event: float) -> tuple:
+    """The occupancy windows (tag, p_min, p_max) tried for an event of mass
+    q_event under Q: the tight one only where 2 Q(E) < 1, then the slack one."""
+    slack = ("slack", 0.0, q_event)
+    return (("tight", q_event, q_event), slack) if q_event + q_event < 1.0 else (slack,)
+
+
 def _planned_instances(spec: SweepSpec) -> int:
-    """Instances the sweep runs (tight windows where its own float test holds);
-    once past the cap, the count so far: a lower bound."""
+    """Instances the sweep runs; once past the cap, the count so far: a
+    lower bound."""
     d = spec.weight_grid_denominator
     total = 0
     for k in spec.outcome_counts:
         per_window = math.comb(d + k - 1, k - 1) * (len(spec.alphas) + 1)
+        # every event has its slack window: counted before any Q is listed
         total += per_window * math.comb(d - 1, k - 1) * (2 ** k - 2)
         if total > MAX_SWEEP_INSTANCES:
             return total
         for q in _compositions(d, k, 1):
+            q_vec = [a / d for a in q]
             total += per_window * sum(
-                2.0 * math.fsum(q[i] / d for i in range(k) if mask >> i & 1) < 1.0
+                len(_windows(math.fsum(q_vec[i] for i in range(k) if mask >> i & 1))) - 1
                 for mask in range(1, 2 ** k - 1))
     return total
 
@@ -114,23 +123,23 @@ def sweep_diffusion(spec: SweepSpec) -> SweepSummary:
     worst: dict | None = None
 
     for k in sorted(spec.outcome_counts):
-        masks = [m for m in range(1, 2 ** k - 1)]
-        mask_bits = {m: [i for i in range(k) if m >> i & 1] for m in masks}
+        masks = range(1, 2 ** k - 1)
+        mask_bits = [[i for i in range(k) if m >> i & 1] for m in masks]
+        # per Q, once per k: its vector and the windows of each event
+        q_table = []
+        for q_parts in _compositions(d, k, 1):
+            q_vec = [a / d for a in q_parts]
+            q_table.append((q_parts, q_vec, [
+                _windows(math.fsum(q_vec[i] for i in bits)) for bits in mask_bits]))
         for p_parts in _compositions(d, k, 0):
             p_vec = [a / d for a in p_parts]
-            for q_parts in _compositions(d, k, 1):
-                q_vec = [a / d for a in q_parts]
+            p_events = [math.fsum(p_vec[i] for i in bits) for bits in mask_bits]
+            for q_parts, q_vec, event_windows in q_table:
                 atoms = list(zip(p_vec, q_vec))
                 divs = [("kl", None, _kl_nats(atoms))]
                 divs += [(a, a, _renyi_nats(atoms, a)) for a in spec.alphas]
-                for mask in masks:
-                    bits = mask_bits[mask]
-                    p_event = math.fsum(p_vec[i] for i in bits)
-                    q_event = math.fsum(q_vec[i] for i in bits)
-                    windows = []
-                    if q_event + q_event < 1.0:
-                        windows.append(("tight", q_event, q_event))
-                    windows.append(("slack", 0.0, q_event))
+                for mask, bits, p_event, windows in zip(
+                        masks, mask_bits, p_events, event_windows):
                     for tag, p_min, p_max in windows:
                         for alpha_key, alpha, div in divs:
                             if alpha is None:

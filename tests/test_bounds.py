@@ -7,10 +7,12 @@ small grids built inline.
 import dataclasses
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import philox
+from fanokit import bounds, verify
 from fanokit import (
     BoundInputs,
     Channel,
@@ -20,6 +22,7 @@ from fanokit import (
     MLEstimator,
     Relation,
     RelationBounds,
+    SweepSpec,
     binary_entropy,
     binary_kl,
     binary_renyi_divergence,
@@ -37,14 +40,20 @@ from fanokit import (
     reports_to_csv,
     solve_diffusion,
     sup_ball_volume,
+    sweep_diffusion,
 )
 from fanokit.bounds import (
     RENYI_ZERO_BAND,
     SOLVE_GRID_POINTS,
     SOLVE_TOLERANCE,
+    TERM_CACHE_SIZE,
     _bisect_boundary,
+    _event_terms,
     _kl_rhs_nats,
     _log_ratio,
+    _renyi_ratio,
+    _renyi_rhs_nats,
+    _window_terms,
 )
 from fanokit.divergences import _binary_entropy_nats, _binary_renyi_entropy_nats
 from fanokit.errors import (
@@ -662,6 +671,14 @@ def renyi_solve_reference(div, alpha, p_min, p_max):
     return None
 
 
+def denominator_overflows(alpha, p_min, p_max):
+    try:
+        math.expm1((alpha - 1.0) * _log_ratio(p_min, p_max))
+    except OverflowError:
+        return True
+    return False
+
+
 def outcome(f, *args):
     """f(*args), or the type of the FanoError or arithmetic error it raises."""
     try:
@@ -677,23 +694,204 @@ def outcome(f, *args):
        share=st.floats(1e-6, 1.0, exclude_max=True), div=st.floats(0.0, 8.0),
        p=st.floats(0.0, 1.0))
 def test_renyi_bound_and_solve_match_the_inline_ratio(alpha, p_min, share, div, p):
-    # orders in the thousands overflow expm1 in the denominator and, with
-    # divergences of a few nats, in the numerator too. This pins the shared
-    # ratio to the inline one as it was, faults included: inf / inf gives a
-    # NaN bound, and a huge ratio at a small order overflows its root.
+    # orders in the thousands overflow expm1 in the numerator and the
+    # denominator. The inline ratio is the reference wherever the
+    # denominator stays in the double range; past it, the inline ratio gave
+    # NaN (inf / inf) or 0 (finite / inf) and found no feasible point, and
+    # test_order_alpha_past_the_double_range_matches_mpmath pins the new
+    # values. A huge ratio's root at a small order overflowed; it is inf now.
     p_max = (1.0 - p_min) * share
-    if p_min + p_max >= 1.0:
+    if p_min + p_max >= 1.0 or denominator_overflows(alpha, p_min, p_max):
         return
     inputs = BoundInputs(div, alpha, p_min, p_max)
     want = outcome(renyi_rhs_reference, div, alpha, p, p_min, p_max)
+    if want is OverflowError:
+        want = math.inf
     got = outcome(lambda: check_renyi_diffusion(p, inputs).bound_value)
-    assert repr(got) == repr(want)     # bit for bit, NaN included
+    assert repr(got) == repr(want)     # bit for bit
     want = renyi_solve_reference(div, alpha, p_min, p_max)
     if want is None:
         with pytest.raises(NoFeasiblePoint):
             solve_diffusion(inputs)
     else:
         assert solve_diffusion(inputs).feasible_sup == want
+
+
+def renyi_rhs_mpmath(div, alpha, p, p_min, p_max):
+    """The order-alpha bound at 60 digits from the exact doubles given."""
+    with mpmath.workdps(60):
+        a, p = mpmath.mpf(alpha), mpmath.mpf(p)
+        power_sum = p ** a + (1 - p) ** a
+        keep = 1 - mpmath.mpf(p_min)
+        exponent = div + mpmath.log(power_sum) / (1 - a) + mpmath.log(keep)
+        num = mpmath.expm1((a - 1) * exponent) * (power_sum if a < 1 else 1)
+        den = mpmath.expm1((a - 1) * mpmath.log(keep / mpmath.mpf(p_max)))
+        return float((num / den) ** (1 / a))
+
+
+def assert_solves_to_the_mpmath_root(div, alpha, p_min, p_max):
+    """The mpmath margin RHS(p) - p changes sign within 2 SOLVE_TOLERANCE of
+    the solve's supremum (or stays feasible at 1 when it returns 1)."""
+    sup = solve_diffusion(BoundInputs(div, alpha, p_min, p_max)).feasible_sup
+
+    def margin(p):
+        return renyi_rhs_mpmath(div, alpha, p, p_min, p_max) - p
+
+    band = 1e-12
+    if sup == 1.0:
+        assert margin(1.0) >= -band
+        return
+    assert margin(max(sup - 2 * SOLVE_TOLERANCE, 0.0)) >= -band
+    assert margin(min(sup + 2 * SOLVE_TOLERANCE, 1.0)) <= band
+
+
+def assert_close_to_mpmath(got, want):
+    assert got == want or abs(got - want) <= 1e-11 * abs(want)
+
+
+@pytest.mark.parametrize("div, alpha, p, p_min, p_max", [
+    (0.0, 1026.0, 0.5, 0.0, 0.5),                 # both expm1 terms overflow: was NaN
+    (0.0, 1026.0, 0.4, 0.0, 0.5),                 # the denominator alone: was 0
+    (1.0, 0.03125, 0.0, 0.0, 0.9999999999999999),  # the root overflows: was OverflowError
+    (3.0, 2000.0, 0.25, 0.1, 0.3),
+])
+def test_order_alpha_past_the_double_range_matches_mpmath(div, alpha, p, p_min, p_max):
+    got = check_renyi_diffusion(p, BoundInputs(div, alpha, p_min, p_max))
+    assert_close_to_mpmath(got.bound_value, renyi_rhs_mpmath(div, alpha, p, p_min, p_max))
+    assert got.holds
+    assert_solves_to_the_mpmath_root(div, alpha, p_min, p_max)
+
+
+@pytest.mark.parametrize("case, value", [
+    ('"alpha": 1026, "divergence": 0, "p_min": 0, "p_max": 0.5, "p": 0.5', '1.0'),
+    ('"alpha": 0.03125, "divergence": 1, "p_min": 0, "p_max": 0.9999999999999999, '
+     '"p": 0', '"inf"')])
+def test_order_alpha_bound_past_the_double_range_holds_on_the_cli(capsys, case, value):
+    # these printed NaN and exited 2, or escaped as a bare OverflowError
+    from fanokit.cli import main
+    rc = main(["bound", '{"kind": "renyi", %s}' % case, "--format", "json"])
+    assert rc == 0
+    assert '"bound_value": %s,' % value in capsys.readouterr().out
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.floats(60.0, 5000.0), past=st.floats(0.5, 200.0),
+       div=st.floats(0.0, 6.0),
+       p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.01, 0.99)))
+def test_order_alpha_past_the_double_range_matches_mpmath_drawn(alpha, past, div, p):
+    # a window whose (alpha - 1) L passes expm1's range by `past`; p_min = 0
+    # keeps the exponent a sum of non-negative terms, so the doubles carry
+    # no cancellation for the reference to disagree with
+    share = math.exp(-(710.0 + past) / (alpha - 1.0))
+    assert denominator_overflows(alpha, 0.0, share)
+    got = check_renyi_diffusion(p, BoundInputs(div, alpha, 0.0, share)).bound_value
+    assert_close_to_mpmath(got, renyi_rhs_mpmath(div, alpha, p, 0.0, share))
+    assert_solves_to_the_mpmath_root(div, alpha, 0.0, share)
+
+
+def kl_rhs_reference(div, p, p_min, p_max):
+    """_kl_rhs_nats as written before its terms were memoised."""
+    return (div + _binary_entropy_nats(p) + math.log1p(-p_min)) / _log_ratio(p_min, p_max)
+
+
+def renyi_ratio_reference(div, alpha, p, p_min, p_max):
+    """_renyi_ratio as written before its terms were memoised."""
+    a1 = alpha - 1.0
+    a_val = div + _binary_renyi_entropy_nats(p, alpha) + math.log1p(-p_min)
+    try:
+        num = math.expm1(a1 * a_val)
+    except OverflowError:
+        num = math.inf
+    if alpha < 1.0:
+        num *= p ** alpha + (1.0 - p) ** alpha
+    try:
+        den = math.expm1(a1 * _log_ratio(p_min, p_max))
+    except OverflowError:
+        den = math.inf
+    return a_val, num, den
+
+
+def key_forms(x):
+    """x and the keys a memo table cannot tell from it, each zero sign
+    both ways round: 0.0, -0.0 and 0 for a zero, the int and the float for
+    a whole number."""
+    if x == 0:
+        return (0.0, -0.0, 0, 0.0, -0.0)
+    if x == int(x):
+        return (float(x), int(x), float(x))
+    return (x,)
+
+
+def fill_term_tables():
+    """Distinct keys past TERM_CACHE_SIZE: every later key evicts one."""
+    for i in range(TERM_CACHE_SIZE + 8):
+        p = i / (4.0 * TERM_CACHE_SIZE)
+        _kl_rhs_nats(0.5, p, 0.0, 0.25 + p)
+        _renyi_ratio(0.5, 3.0, p, 0.0, 0.25 + p)
+    assert _event_terms.cache_info().currsize == TERM_CACHE_SIZE
+    assert _window_terms.cache_info().currsize == TERM_CACHE_SIZE
+
+
+SMALL_SWEEP = SweepSpec(outcome_counts=(2, 3), weight_grid_denominator=4,
+                        alphas=(0.5, 2.0))
+
+
+def uncached_run(module, run):
+    """run() with the kernels the given fanokit module calls swapped for
+    the bodies as written before memoisation."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name, reference in (("_kl_rhs_nats", kl_rhs_reference),
+                                ("_renyi_ratio", renyi_ratio_reference),
+                                ("_renyi_rhs_nats", renyi_rhs_reference)):
+            if hasattr(module, name):
+                patch.setattr(module, name, reference)
+        return run()
+
+
+@settings(max_examples=80, deadline=None)
+@given(calls=st.lists(st.tuples(
+           st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 6.0)),
+           st.one_of(st.sampled_from([0.5, 2.0, 3.0]), st.floats(0.05, 0.95),
+                     st.floats(1.05, 800.0)),
+           st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+           st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 0.9)),
+           st.floats(1e-6, 0.999)), min_size=1, max_size=6),
+       fill=st.booleans(), interleave=st.booleans())
+def test_memoised_kernels_match_the_uncached_bodies(calls, fill, interleave):
+    if fill:
+        fill_term_tables()
+    for div, alpha, p, p_min, share in calls:
+        if not p_min + (1.0 - p_min) * share < 1.0:
+            continue
+        forms = [key_forms(x) for x in (div, alpha, p, p_min)]
+        for i in range(max(map(len, forms))):
+            d, a, q, lo = (f[i % len(f)] for f in forms)
+            hi = (1.0 - lo) * share
+            inputs = BoundInputs(d, a, lo, hi)
+            want = repr(kl_rhs_reference(d, q, lo, hi))
+            assert repr(_kl_rhs_nats(d, q, lo, hi)) == want
+            assert repr(check_kl_diffusion(q, inputs).bound_value) == want
+            assert (repr(_renyi_ratio(d, a, q, lo, hi))
+                    == repr(renyi_ratio_reference(d, a, q, lo, hi)))
+            if not denominator_overflows(a, lo, hi):
+                want = outcome(renyi_rhs_reference, d, a, q, lo, hi)
+                want = repr(math.inf if want is OverflowError else want)
+                assert repr(outcome(_renyi_rhs_nats, d, a, q, lo, hi)) == want
+                assert repr(outcome(
+                    lambda: check_renyi_diffusion(q, inputs).bound_value)) == want
+        if interleave:
+            # solves pass a thousand grid keys through the tables between
+            # sweeps, whose keys then come back
+            for a in ("kl", alpha):
+                inputs = BoundInputs(div, a, p_min, (1.0 - p_min) * share)
+                got = outcome(lambda: solve_diffusion(inputs).feasible_sup)
+                want = outcome(lambda: uncached_run(
+                    bounds, lambda: solve_diffusion(inputs).feasible_sup))
+                assert repr(got) == repr(want)
+            got = sweep_diffusion(SMALL_SWEEP).to_json_obj(include_timing=False)
+            want = uncached_run(verify, lambda: sweep_diffusion(
+                SMALL_SWEEP).to_json_obj(include_timing=False))
+            assert got == want
 
 
 class TestReportPlumbing:

@@ -2,6 +2,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import dirichlet_pair
 from fanokit import (
@@ -13,7 +14,76 @@ from fanokit import (
     verify_support_bound,
 )
 from fanokit.errors import FanoError, GridTooLarge, NumericalInstability
-from fanokit.verify import _planned_instances
+from fanokit.bounds import _kl_rhs_nats, _renyi_rhs_nats
+from fanokit.divergences import _kl_nats, _renyi_nats
+from fanokit import verify
+from fanokit.verify import _compositions, _planned_instances
+
+
+def sweep_reference(spec, kl_rhs=_kl_rhs_nats, renyi_rhs=_renyi_rhs_nats):
+    """sweep_diffusion's loop as written before its per-P and per-Q tables:
+    (instances, violations, max_violation, worst_instance)."""
+    d = spec.weight_grid_denominator
+    instances = 0
+    violations = 0
+    max_excess = -math.inf
+    worst = None
+    for k in sorted(spec.outcome_counts):
+        masks = [m for m in range(1, 2 ** k - 1)]
+        mask_bits = {m: [i for i in range(k) if m >> i & 1] for m in masks}
+        for p_parts in _compositions(d, k, 0):
+            p_vec = [a / d for a in p_parts]
+            for q_parts in _compositions(d, k, 1):
+                q_vec = [a / d for a in q_parts]
+                atoms = list(zip(p_vec, q_vec))
+                divs = [("kl", None, _kl_nats(atoms))]
+                divs += [(a, a, _renyi_nats(atoms, a)) for a in spec.alphas]
+                for mask in masks:
+                    bits = mask_bits[mask]
+                    p_event = math.fsum(p_vec[i] for i in bits)
+                    q_event = math.fsum(q_vec[i] for i in bits)
+                    windows = []
+                    if q_event + q_event < 1.0:
+                        windows.append(("tight", q_event, q_event))
+                    windows.append(("slack", 0.0, q_event))
+                    for tag, p_min, p_max in windows:
+                        for alpha_key, alpha, div in divs:
+                            if alpha is None:
+                                rhs = kl_rhs(div, p_event, p_min, p_max)
+                            else:
+                                rhs = renyi_rhs(div, alpha, p_event, p_min, p_max)
+                            excess = p_event - rhs
+                            instances += 1
+                            if excess > spec.tolerance:
+                                violations += 1
+                            if excess > max_excess:
+                                max_excess = excess
+                                worst = {
+                                    "id": "k%d-p%s-q%s-e%d-%s-a%s" % (
+                                        k,
+                                        ".".join(map(str, p_parts)),
+                                        ".".join(map(str, q_parts)),
+                                        mask, tag, alpha_key),
+                                    "k": k,
+                                    "p": p_vec,
+                                    "q": q_vec,
+                                    "event": bits,
+                                    "p_min": p_min,
+                                    "p_max": p_max,
+                                    "alpha": alpha_key,
+                                    "p_event": p_event,
+                                    "bound_value": rhs,
+                                    "excess": excess,
+                                }
+    return instances, violations, max_excess, worst
+
+
+def recording(calls, kernel):
+    """kernel, appending its name and arguments to calls on every call."""
+    def record(*args):
+        calls.append((kernel.__name__,) + args)
+        return kernel(*args)
+    return record
 
 
 class TestSweep:
@@ -58,6 +128,33 @@ class TestSweep:
 
     def test_the_default_plan_counts_tight_windows_only_where_they_run(self):
         assert _planned_instances(SweepSpec()) == 615_600
+
+    @settings(max_examples=60, deadline=None)
+    @given(counts=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+           d=st.integers(1, 6),
+           alphas=st.tuples(st.floats(0.05, 0.95), st.floats(1.05, 6.0)),
+           more=st.lists(st.sampled_from([0.25, 0.5, 2.0, 4.0]), max_size=2),
+           tolerance=st.one_of(st.just(1e-9), st.floats(-1.0, 0.0)))
+    def test_the_sweep_matches_the_old_loop(self, counts, d, alphas, more, tolerance):
+        # negative tolerances count violations, and ties in the excess
+        # (exact zeros above all) exercise the first-max rule; the kernel
+        # calls, made through verify's module names, come in the same order
+        # with the same arguments
+        spec = SweepSpec(outcome_counts=tuple(counts), weight_grid_denominator=d,
+                         alphas=alphas + tuple(more), tolerance=tolerance)
+        got_calls, want_calls = [], []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verify, "_kl_rhs_nats", recording(got_calls, _kl_rhs_nats))
+            patch.setattr(verify, "_renyi_rhs_nats",
+                          recording(got_calls, _renyi_rhs_nats))
+            s = sweep_diffusion(spec)
+        want = sweep_reference(spec, recording(want_calls, _kl_rhs_nats),
+                               recording(want_calls, _renyi_rhs_nats))
+        assert (s.instances, s.violations, s.max_violation, s.worst_instance) == want
+        assert len(got_calls) == len(want_calls)
+        first = next((i for i, (g, w) in enumerate(zip(got_calls, want_calls))
+                      if repr(g) != repr(w)), None)
+        assert first is None, (got_calls[first], want_calls[first])
 
     @pytest.mark.parametrize("counts", [(0,), (2, 0), (-1, 3)])
     def test_outcome_counts_below_one_are_refused(self, counts):
