@@ -16,7 +16,6 @@ from .bounds import (
     distance_fano_bound,
     entropy_version_bound,
     fano_relation_bound,
-    independent_samples_bound,
     mi_distance_bound,
     reports_to_csv,
     solve_diffusion,
@@ -30,6 +29,7 @@ from .chains import (
     certify,
     compute_beta,
     enumerate_chain,
+    independent_samples_bound,
     random_experiment,
     simulate_chain,
 )

@@ -18,16 +18,11 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .distributions import (
-    Channel,
-    FiniteDistribution,
-    JointDistribution,
-    event_probability,
-    product_of_marginals,
-)
+from .distributions import JointDistribution, event_probability, product_of_marginals
 from .divergences import (
     KL_ALPHA_BAND,
     _binary_entropy_nats,
@@ -53,7 +48,7 @@ from .errors import (
     RangeMismatch,
     ZeroVolumeDenominator,
 )
-from .jsonio import format_cell, format_csv
+from .jsonio import format_csv
 from .relations import (
     ContinuousDomain,
     DistanceRelation,
@@ -283,9 +278,15 @@ def _log_ratio_past_overflow(a_val: float, num: float, alpha: float,
                              p_min: float, p_max: float) -> float:
     """ln(num / den) for a positive num when den overflowed (orders above
     one): den is then e^((alpha-1) L) to double precision, and so is num
-    e^((alpha-1) a) when it overflowed too."""
+    e^((alpha-1) a) when it overflowed too. A subnormal num is the product
+    (alpha-1) a short of digits, so its log comes from the two factors."""
     a1 = alpha - 1.0
-    log_num = a1 * a_val if math.isinf(num) else math.log(num)
+    if math.isinf(num):
+        log_num = a1 * a_val
+    elif num < sys.float_info.min:
+        log_num = math.log(a1) + math.log(a_val)
+    else:
+        log_num = math.log(num)
     return log_num - a1 * _window_terms(p_min, p_max, alpha)[1]
 
 
@@ -320,6 +321,32 @@ def _renyi_rhs_nats(div: float, alpha: float, p: float,
         return math.inf
 
 
+# The float exponent a = div + h_alpha(p) + ln(1 - p_min) lies within
+# EXPONENT_ROUNDING * eps * (|div| + h_alpha(p) + |ln(1 - p_min)|) of its
+# exact value for the doubles it is given. Where a cancels below that, a
+# bound of exactly 0 can stand for a positive one, and at large orders its
+# 1/alpha-th root is far from 0.
+EXPONENT_ROUNDING = 8.0
+
+
+def _refuse_rounded_zero(div: float, alpha: float, p: float, p_min: float,
+                         p_max: float, tolerance: float, instance: str) -> None:
+    """Raises NumericalInstability, naming the instance, where an order-alpha
+    bound that came back as exactly 0 would report a positive p as violated
+    (p > tolerance) but holds once its exponent a is raised by its rounding
+    bound: double precision cannot decide that verdict."""
+    if p <= 0.0 or p <= tolerance:
+        return
+    delta = EXPONENT_ROUNDING * sys.float_info.epsilon * (
+        abs(div) + _event_terms(p, alpha)[0] + abs(_window_terms(p_min, p_max, alpha)[0]))
+    if p - _renyi_rhs_nats(div + delta, alpha, p, p_min, p_max) <= tolerance:
+        raise NumericalInstability(
+            f"alpha: {instance}: the order-{alpha!r} bound is 0 only within the "
+            f"rounding of its exponent and holds at p = {p!r} once the exponent "
+            f"is raised by {delta:.3g}; double precision cannot decide this instance"
+        )
+
+
 def _entropy_rhs_nats(h_x: float, p_not: float, p_min: float, p_max: float) -> float:
     """RHS of the entropy-version bound. Needs only 0 <= p_min <= 1 and
     0 < p_max <= 1; p_not = 0 uses the 0 * log convention."""
@@ -352,6 +379,9 @@ def _check_diffusion(p: float, inputs: BoundInputs, tolerance: float,
     else:
         rhs = (_kl_rhs_nats(div, p, p_min, p_max) if kl
                else _renyi_rhs_nats(div, alpha, p, p_min, p_max))
+        if not kl and rhs == 0.0:
+            _refuse_rounded_zero(div, alpha, p, p_min, p_max, tolerance,
+                                 "window (%r, %r)" % (p_min, p_max))
         parts = []
         if not kl and alpha < 1.0:
             parts.append("order < 1: right side keeps the binary power-sum factor")
@@ -554,59 +584,6 @@ def entropy_version_bound(joint: JointDistribution, rel: Relation,
         solver_tolerance=ENTROPY_CHECK_TOLERANCE,
         notes="conditional-entropy form; no window-sum hypothesis",
         alpha="entropy", p_min=bounds.p_min, p_max=bounds.p_max,
-    )
-
-
-def independent_samples_bound(prior: FiniteDistribution, channel: Channel,
-                              n: int, estimator, rel: Relation,
-                              bounds: RelationBounds | None = None,
-                              base: float = math.e,
-                              tolerance: float = 1e-9) -> BoundReport:
-    """Bound for n conditionally independent channel uses.
-
-    The divergence budget is n times the single-use mutual information, with
-    the worst-case pairwise channel divergence n * beta as the weaker, model-
-    only fallback (recorded in notes). The chain inequality
-    I(X;Y^n) <= n * I(X;Y_1) <= n * beta is asserted on the exact chain.
-    """
-    from .chains import Experiment, compute_beta, enumerate_chain
-
-    exp = Experiment(prior=prior, channel=channel, n_samples=n,
-                     estimator=estimator, relation=rel, base=math.e)
-    summary = enumerate_chain(exp)
-    i1 = summary.mi_y1
-    beta = compute_beta(channel)
-    if summary.mi_xy > n * i1 + tolerance:
-        raise InconsistentBounds(
-            "chain: observation mutual information exceeds n times the "
-            "single-use value; additivity violated"
-        )
-    if i1 > beta + tolerance:
-        raise InconsistentBounds(
-            "chain: single-use mutual information exceeds the worst-case "
-            "pairwise divergence"
-        )
-    if bounds is None:
-        bounds = relation_bounds(rel, prior, summary.joint_xxhat.col_outcomes)
-    p_min, p_max = _check_window(bounds.p_min, bounds.p_max)
-    p_rel = summary.p_rel
-    rhs_i = _kl_rhs_nats(n * i1, p_rel, p_min, p_max)
-    rhs_beta = (math.inf if math.isinf(beta)
-                else _kl_rhs_nats(n * beta, p_rel, p_min, p_max))
-    if rhs_i > rhs_beta + tolerance:
-        raise InconsistentBounds(
-            "chain: per-sample bound exceeds the worst-case-divergence bound"
-        )
-    solve = solve_diffusion(
-        BoundInputs(divergence=n * i1, alpha="kl", p_min=p_min, p_max=p_max))
-    notes = ("bounds the acceptable-reconstruction probability "
-             "(complement form flagged inconsistent upstream); "
-             "worst-case-divergence bound value %s" % format_cell(rhs_beta))
-    return BoundReport(
-        mode="check", bound_value=rhs_i, observed=p_rel, slack=rhs_i - p_rel,
-        feasible_sup=solve.feasible_sup,
-        solver_tolerance=tolerance, notes=notes,
-        alpha="kl", p_min=p_min, p_max=p_max, divergence=_scale(n * i1, base),
     )
 
 

@@ -44,9 +44,11 @@ from .errors import (
     RangeMismatch,
     StateSpaceTooLarge,
 )
+from .jsonio import format_cell
 from .relations import (
     DistanceRelation,
     Relation,
+    RelationBounds,
     ball_counts,
     equality_relation,
     relation_bounds,
@@ -98,9 +100,10 @@ class Experiment:
             raise DuplicateLabel(
                 "experiment: prior outcomes must match channel inputs, in order"
             )
-        if int(self.n_samples) < 1:
+        n = _bounds._check_whole(self.n_samples, "n")
+        if n < 1:
             raise FanoError(f"n: sample count must be >= 1, got {self.n_samples!r}")
-        object.__setattr__(self, "n_samples", int(self.n_samples))
+        object.__setattr__(self, "n_samples", n)
         _ln_base(self.base)
 
 
@@ -411,6 +414,55 @@ def simulate_chain(exp: Experiment, trials: int, seed: int = 0) -> ChainSummary:
     )
 
 
+def independent_samples_bound(prior: FiniteDistribution, channel: Channel,
+                              n: int, estimator, rel: Relation,
+                              bounds: RelationBounds | None = None,
+                              base: float = math.e,
+                              tolerance: float = 1e-9) -> _bounds.BoundReport:
+    """Bound for n conditionally independent channel uses.
+
+    The divergence budget is n times the single-use mutual information, with
+    the worst-case pairwise channel divergence n * beta as the weaker, model-
+    only fallback (recorded in notes). The chain inequality
+    I(X;Y^n) <= n * I(X;Y_1) <= n * beta is asserted on the exact chain.
+    """
+    summary = enumerate_chain(Experiment(prior=prior, channel=channel, n_samples=n,
+                                         estimator=estimator, relation=rel))
+    i1, beta = summary.mi_y1, summary.beta
+    if summary.mi_xy > n * i1 + tolerance:
+        raise InconsistentBounds(
+            "chain: observation mutual information exceeds n times the "
+            "single-use value; additivity violated"
+        )
+    if i1 > beta + tolerance:
+        raise InconsistentBounds(
+            "chain: single-use mutual information exceeds the worst-case "
+            "pairwise divergence"
+        )
+    if bounds is None:
+        bounds = relation_bounds(rel, prior, summary.joint_xxhat.col_outcomes)
+    p_min, p_max = _bounds._check_window(bounds.p_min, bounds.p_max)
+    p_rel = summary.p_rel
+    rhs_i = _bounds._kl_rhs_nats(n * i1, p_rel, p_min, p_max)
+    rhs_beta = (math.inf if math.isinf(beta)
+                else _bounds._kl_rhs_nats(n * beta, p_rel, p_min, p_max))
+    if rhs_i > rhs_beta + tolerance:
+        raise InconsistentBounds(
+            "chain: per-sample bound exceeds the worst-case-divergence bound"
+        )
+    solve = _bounds.solve_diffusion(
+        _bounds.BoundInputs(divergence=n * i1, alpha="kl", p_min=p_min, p_max=p_max))
+    notes = ("bounds the acceptable-reconstruction probability "
+             "(complement form flagged inconsistent upstream); "
+             "worst-case-divergence bound value %s" % format_cell(rhs_beta))
+    return _bounds.BoundReport(
+        mode="check", bound_value=rhs_i, observed=p_rel, slack=rhs_i - p_rel,
+        feasible_sup=solve.feasible_sup,
+        solver_tolerance=tolerance, notes=notes,
+        alpha="kl", p_min=p_min, p_max=p_max, divergence=_scale(n * i1, base),
+    )
+
+
 def certify(exp: Experiment, trials: int | None = None, seed: int = 0,
             tolerance: float = 1e-9) -> list:
     """Evaluate every applicable bound for the chain and return the reports.
@@ -467,7 +519,7 @@ def certify(exp: Experiment, trials: int | None = None, seed: int = 0,
             add(kl(summary.mi_xy), "relation-mi-observation")
         # exact chains also assert the chain inequalities; a simulated chain's
         # per-use budget is the model's exact single-use mutual information
-        add(_bounds.independent_samples_bound(
+        add(independent_samples_bound(
                 exp.prior, exp.channel, n, exp.estimator, rel, rb, base=base,
                 tolerance=tolerance) if summary.exact else
             kl(n * _scale(_mi_nats_from_matrix(np.asarray(
@@ -563,6 +615,6 @@ def experiment_from_json(obj: dict) -> Experiment:
         channel=channel_from_json(obj["channel"]),
         estimator=estimator_from_json(obj["estimator"]),
         relation=relation_from_json(obj["relation"]),
-        n_samples=int(obj.get("n", 1)),
+        n_samples=obj.get("n", 1),
         base=float(obj.get("base", math.e)),
     )

@@ -23,7 +23,7 @@ from . import chains as _chains
 from . import jsonio
 from . import verify as _verify
 from .distributions import distribution_from_json
-from .divergences import kl_divergence, renyi_divergence
+from .divergences import renyi_divergence
 from .errors import FanoError
 from .relations import domain_from_json, resolve_volume_method, sup_ball_volume
 from .bounds import BoundInputs
@@ -136,14 +136,22 @@ def _emit(args, result) -> None:
     _write_output(text, args.out)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--base", default="e", help="logarithm base (number or 'e')")
-    parser.add_argument("--format", choices=("table", "json", "csv"),
-                        default="table", help="output format")
-    parser.add_argument("--out", default=None, help="write output to this file")
-    parser.add_argument("--tolerance", type=float, default=1e-9,
-                        help="slack tolerance for pass/fail")
-    parser.add_argument("--seed", type=int, default=0, help="stream seed")
+# Flags several subcommands share, in help order. Each subcommand declares
+# --format, --out and those of the rest that it reads.
+SHARED_FLAGS = {
+    "base": dict(default="e", help="logarithm base (number or 'e')"),
+    "format": dict(choices=("table", "json", "csv"), default="table",
+                   help="output format"),
+    "out": dict(default=None, help="write output to this file"),
+    "tolerance": dict(type=float, default=1e-9, help="slack tolerance for pass/fail"),
+    "seed": dict(type=int, default=0, help="stream seed"),
+}
+
+
+def _add_shared(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name, spec in SHARED_FLAGS.items():
+        if name in ("format", "out") + names:
+            parser.add_argument("--" + name, **spec)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -158,29 +166,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("P", help="first distribution (JSON or path)")
     p.add_argument("Q", help="second distribution (JSON or path)")
     p.add_argument("--alpha", default="kl", help="order, 'inf', or 'kl'")
-    _add_common(p)
+    _add_shared(p, "base")
+    p.set_defaults(run=_cmd_divergence)
 
-    p = sub.add_parser("bound", help="check one bound from scalar inputs")
-    p.add_argument("input", help="bound description (JSON or path)")
-    p.add_argument("--alpha", default=None, help="override the order")
-    p.add_argument("--pmin", type=float, default=None, help="override p_min")
-    p.add_argument("--pmax", type=float, default=None, help="override p_max")
-    _add_common(p)
-
-    p = sub.add_parser("solve", help="solve the self-consistent bound for its "
-                                     "extreme probability")
-    p.add_argument("input", help="bound description (JSON or path)")
-    p.add_argument("--alpha", default=None, help="override the order")
-    p.add_argument("--pmin", type=float, default=None, help="override p_min")
-    p.add_argument("--pmax", type=float, default=None, help="override p_max")
-    _add_common(p)
+    for name, help_text, shared in (
+            ("bound", "check one bound from scalar inputs", ("base", "tolerance", "seed")),
+            ("solve", "solve the self-consistent bound for its extreme probability",
+             ("base", "seed"))):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("input", help="bound description (JSON or path)")
+        p.add_argument("--alpha", default=None, help="override the order")
+        p.add_argument("--pmin", type=float, default=None, help="override p_min")
+        p.add_argument("--pmax", type=float, default=None, help="override p_max")
+        _add_shared(p, *shared)
+        p.set_defaults(run=_cmd_bound)
 
     p = sub.add_parser("certify", help="run every applicable bound on a chain")
     p.add_argument("experiment", help="experiment description (JSON or path)")
     p.add_argument("--trials", type=int, default=None,
                    help="force the Monte Carlo chain with this many trials")
     p.add_argument("--n", type=int, default=None, help="override sample count")
-    _add_common(p)
+    _add_shared(p, "base", "tolerance", "seed")
+    p.set_defaults(run=_cmd_certify)
 
     p = sub.add_parser("sweep", help="exhaustive grid verification of the "
                                      "diffusion bounds")
@@ -190,7 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated orders (KL is always included)")
     p.add_argument("--timing", action="store_true",
                    help="include elapsed time in the output")
-    _add_common(p)
+    _add_shared(p, "tolerance")
+    p.set_defaults(run=_cmd_sweep)
 
     p = sub.add_parser("volume", help="supremal ball volume of a continuous domain")
     p.add_argument("domain", help="domain description (JSON or path)")
@@ -198,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="auto")
     p.add_argument("--samples", type=int, default=65536, help="Monte Carlo draws")
     p.add_argument("--resolution", type=int, default=64, help="grid cells per axis")
-    _add_common(p)
+    _add_shared(p, "seed")
+    p.set_defaults(run=_cmd_volume)
     return parser
 
 
@@ -207,10 +216,7 @@ def _cmd_divergence(args) -> int:
     P = distribution_from_json(_load_json(args.P))
     Q = distribution_from_json(_load_json(args.Q))
     alpha = _parse_alpha(args.alpha)
-    if alpha == "kl":
-        value = kl_divergence(P, Q, base)
-    else:
-        value = renyi_divergence(P, Q, alpha, base)
+    value = renyi_divergence(P, Q, 1.0 if alpha == "kl" else alpha, base)
     _emit(args, {"alpha": alpha, "base": base, "value": value})
     return 0
 
@@ -235,12 +241,18 @@ def _bound_inputs_from_json(obj: dict, args, base: float) -> BoundInputs:
                        p_min=float(p_min), p_max=float(p_max), base=base)
 
 
-def _cmd_bound(args, solve: bool) -> int:
+def _cmd_bound(args) -> int:
+    """bound and solve; solve reads no --tolerance (its reports carry the
+    solver's own)."""
+    solve = args.command == "solve"
     base = _parse_base(args.base)
     obj = _load_json(args.input)
     if not isinstance(obj, dict):
         raise FanoError("input: expected a JSON object")
     kind = obj.get("kind", "kl")
+    mode = "solve" if solve else "check"
+    # the exceedance bounds' check-mode inputs
+    checked = {} if solve else {"p_t": obj.get("p_t"), "tolerance": args.tolerance}
     if kind in ("kl", "renyi"):
         inputs = _bound_inputs_from_json(obj, args, base)
         if solve:
@@ -261,22 +273,18 @@ def _cmd_bound(args, solve: bool) -> int:
                 raise FanoError(f"{key}: required for the mi-distance bound")
         report = _bounds.mi_distance_bound(
             jsonio.parse_extended(obj["mi"]), obj["size"], obj["ball_max"],
-            p_t=None if solve else obj.get("p_t"),
-            mode="solve" if solve else "check",
-            base=base, tolerance=args.tolerance)
+            mode=mode, base=base, **checked)
     elif kind == "continuous":
         if "mi" not in obj or "domain" not in obj:
             raise FanoError("mi, domain: required for the continuous bound")
         report = _bounds.continuous_fano_bound(
             jsonio.parse_extended(obj["mi"]), domain_from_json(obj["domain"]),
-            p_t=None if solve else obj.get("p_t"),
-            variant=obj.get("variant", "log2"),
-            mode="solve" if solve else "check",
+            variant=obj.get("variant", "log2"), mode=mode,
             volume_method=obj.get("method", "auto"),
             samples=int(obj.get("samples", 65536)),
             seed=args.seed,
             resolution=int(obj.get("resolution", 64)),
-            base=base, tolerance=args.tolerance)
+            base=base, **checked)
     else:
         raise FanoError(f"kind: unknown bound kind {kind!r}")
     _emit(args, [report])
@@ -326,19 +334,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _thread_cap()
-        if args.command == "divergence":
-            return _cmd_divergence(args)
-        if args.command == "bound":
-            return _cmd_bound(args, solve=False)
-        if args.command == "solve":
-            return _cmd_bound(args, solve=True)
-        if args.command == "certify":
-            return _cmd_certify(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "volume":
-            return _cmd_volume(args)
-        raise FanoError(f"command: unknown command {args.command!r}")
+        return args.run(args)
     except FanoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -134,12 +134,8 @@ def renyi_divergence(P: FiniteDistribution, Q: FiniteDistribution,
 
 def kl_divergence(P: FiniteDistribution, Q: FiniteDistribution,
                   base: float = math.e) -> float:
-    _same_outcomes(P, Q)
-    _ln_base(base)
-    if np.array_equal(P.weights, Q.weights):
-        return 0.0
-    atoms = list(zip(P.weights.tolist(), Q.weights.tolist()))
-    return _scale(_kl_nats(atoms), base)
+    """KL divergence of P from Q: the order-1 divergence."""
+    return renyi_divergence(P, Q, 1.0, base)
 
 
 def binary_renyi_divergence(p: float, q: float, alpha: float,
@@ -156,12 +152,8 @@ def binary_renyi_divergence(p: float, q: float, alpha: float,
 
 
 def binary_kl(p: float, q: float, base: float = math.e) -> float:
-    p = _check_prob(p, "p")
-    q = _check_prob(q, "q")
-    _ln_base(base)
-    if p == q:
-        return 0.0
-    return _scale(_kl_nats(((p, q), (1.0 - p, 1.0 - q))), base)
+    """KL divergence between Bernoulli(p) and Bernoulli(q): order 1."""
+    return binary_renyi_divergence(p, q, 1.0, base)
 
 
 def _binary_entropy_nats(p: float) -> float:

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .bounds import _kl_rhs_nats, _renyi_rhs_nats
+from .bounds import _check_window, _kl_rhs_nats, _refuse_rounded_zero, _renyi_rhs_nats
 from .distributions import FiniteDistribution
 from .divergences import KL_ALPHA_BAND, _check_prob, _kl_nats, _renyi_nats, kl_divergence
 from .errors import FanoError, GridTooLarge, NumericalInstability
@@ -91,6 +91,11 @@ def _planned_instances(spec: SweepSpec) -> int:
     return total
 
 
+def _instance_id(k: int, p_parts, q_parts, mask: int, tag: str, alpha_key) -> str:
+    return "k%d-p%s-q%s-e%d-%s-a%s" % (k, ".".join(map(str, p_parts)),
+                                       ".".join(map(str, q_parts)), mask, tag, alpha_key)
+
+
 def sweep_diffusion(spec: SweepSpec) -> SweepSummary:
     """Grid sweep of the diffusion bounds.
 
@@ -150,15 +155,17 @@ def sweep_diffusion(spec: SweepSpec) -> SweepSummary:
                             excess = p_event - rhs
                             instances += 1
                             if excess > spec.tolerance:
+                                if rhs == 0.0 and alpha is not None:
+                                    _refuse_rounded_zero(
+                                        div, alpha, p_event, p_min, p_max, spec.tolerance,
+                                        "instance " + _instance_id(
+                                            k, p_parts, q_parts, mask, tag, alpha_key))
                                 violations += 1
                             if excess > max_excess:
                                 max_excess = excess
                                 worst = {
-                                    "id": "k%d-p%s-q%s-e%d-%s-a%s" % (
-                                        k,
-                                        ".".join(map(str, p_parts)),
-                                        ".".join(map(str, q_parts)),
-                                        mask, tag, alpha_key),
+                                    "id": _instance_id(k, p_parts, q_parts, mask,
+                                                       tag, alpha_key),
                                     "k": k,
                                     "p": p_vec,
                                     "q": q_vec,
@@ -256,6 +263,7 @@ def verify_limit(P: FiniteDistribution, Q: FiniteDistribution,
     """
     if side not in ("below", "above"):
         raise NumericalInstability(f"side: expected 'below' or 'above', got {side!r}")
+    p_min, p_max = _check_window(p_min, p_max)
     from .divergences import renyi_divergence
 
     p_event = _check_prob(math.fsum(

@@ -6,10 +6,11 @@ small grids built inline.
 """
 import dataclasses
 import math
+import sys
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import philox
 from fanokit import bounds, verify
@@ -43,6 +44,7 @@ from fanokit import (
     sweep_diffusion,
 )
 from fanokit.bounds import (
+    EXPONENT_ROUNDING,
     RENYI_ZERO_BAND,
     SOLVE_GRID_POINTS,
     SOLVE_TOLERANCE,
@@ -55,7 +57,7 @@ from fanokit.bounds import (
     _renyi_rhs_nats,
     _window_terms,
 )
-from fanokit.divergences import _binary_entropy_nats, _binary_renyi_entropy_nats
+from fanokit.divergences import _binary_entropy_nats, _binary_renyi_entropy_nats, _renyi_nats
 from fanokit.errors import (
     AlphaIsOne,
     BadPminPmax,
@@ -778,6 +780,7 @@ def test_order_alpha_bound_past_the_double_range_holds_on_the_cli(capsys, case, 
 @given(alpha=st.floats(60.0, 5000.0), past=st.floats(0.5, 200.0),
        div=st.floats(0.0, 6.0),
        p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.01, 0.99)))
+@example(alpha=60.5, past=1.0, div=5e-324, p=0.0)     # a subnormal numerator
 def test_order_alpha_past_the_double_range_matches_mpmath_drawn(alpha, past, div, p):
     # a window whose (alpha - 1) L passes expm1's range by `past`; p_min = 0
     # keeps the exponent a sum of non-negative terms, so the doubles carry
@@ -916,3 +919,79 @@ class TestReportPlumbing:
         assert up.slack == up.bound_value - up.observed
         low = mi_distance_bound(0.0, 4, 1, p_t=0.6)
         assert low.slack == pytest.approx(low.observed - low.bound_value, abs=1e-15)
+
+
+# -- order-alpha exponents that cancel below double precision -------------------
+
+@st.composite
+def sweep_instances(draw):
+    """(div, alpha, p, p_min, p_max) as the sweep builds them: P on the grid
+    of denominator d, Q on its full-support grid, a proper nonempty event and
+    one of its occupancy windows."""
+    d = draw(st.integers(3, 24))
+    k = draw(st.sampled_from([2, 3]))
+    p_cuts = sorted(draw(st.lists(st.integers(0, d), min_size=k - 1, max_size=k - 1)))
+    q_cuts = sorted(draw(st.lists(st.integers(1, d - 1), min_size=k - 1,
+                                  max_size=k - 1, unique=True)))
+    p_vec = [(b - a) / d for a, b in zip([0] + p_cuts, p_cuts + [d])]
+    q_vec = [(b - a) / d for a, b in zip([0] + q_cuts, q_cuts + [d])]
+    alpha = draw(st.one_of(st.sampled_from([0.25, 0.5, 2.0, 4.0, 16.0, 32.0, 64.0, 100.0]),
+                           st.floats(1.5, 128.0)))
+    mask = draw(st.integers(1, 2 ** k - 2))
+    bits = [i for i in range(k) if mask >> i & 1]
+    _, p_min, p_max = draw(st.sampled_from(
+        verify._windows(math.fsum(q_vec[i] for i in bits))))
+    return (_renyi_nats(list(zip(p_vec, q_vec)), alpha), alpha,
+            math.fsum(p_vec[i] for i in bits), p_min, p_max)
+
+
+# the sweep's k2-p1.7-q3.5-e1-tight-a32.0: a is 4.5e-17 at 60 digits, 0 in doubles
+ROUNDED_ZERO = (0.33216477234300257, 32.0, 0.125, 0.375, 0.375)
+
+
+def exponent_mpmath(div, alpha, p, p_min):
+    """a = div + h_alpha(p) + ln(1 - p_min) at 60 digits from the exact
+    doubles given."""
+    with mpmath.workdps(60):
+        a, p = mpmath.mpf(alpha), mpmath.mpf(p)
+        h = mpmath.log(p ** a + (1 - p) ** a) / (1 - a)
+        return mpmath.mpf(div) + h + mpmath.log1p(-mpmath.mpf(p_min))
+
+
+@settings(max_examples=80, deadline=None)
+@given(sweep_instances())
+@example(ROUNDED_ZERO)
+def test_the_order_alpha_exponent_is_within_its_rounding_bound(instance):
+    div, alpha, p, p_min, p_max = instance
+    got = _renyi_ratio(div, alpha, p, p_min, p_max)[0]
+    delta = EXPONENT_ROUNDING * sys.float_info.epsilon * (
+        abs(div) + _binary_renyi_entropy_nats(p, alpha) + abs(math.log1p(-p_min)))
+    with mpmath.workdps(60):
+        assert abs(got - exponent_mpmath(div, alpha, p, p_min)) <= delta
+
+
+@settings(max_examples=80, deadline=None)
+@given(sweep_instances(), st.one_of(st.just(1.0), st.floats(0.0, 1.0)))
+@example(ROUNDED_ZERO, 1.0)
+def test_every_order_alpha_violation_reported_holds_at_60_digits(instance, scale):
+    # a divergence scaled below the pair's own can make a violation real
+    div, alpha, p, p_min, p_max = instance
+    div *= scale
+    try:
+        report = check_renyi_diffusion(p, BoundInputs(div, alpha, p_min, p_max))
+    except (NumericalInstability, InconsistentBounds):
+        return          # an undecidable verdict, or a divergence too small for the window
+    if report.holds:
+        return
+    with mpmath.workdps(60):
+        positive = exponent_mpmath(div, alpha, p, p_min) > 0
+    want = renyi_rhs_mpmath(div, alpha, p, p_min, p_max) if positive else 0.0
+    assert p - want > report.solver_tolerance, (report.bound_value, want)
+
+
+def test_a_rounded_zero_bound_is_refused_naming_its_window():
+    div, alpha, p, p_min, p_max = ROUNDED_ZERO
+    assert _renyi_rhs_nats(div, alpha, p, p_min, p_max) == 0.0
+    assert renyi_rhs_mpmath(div, alpha, p, p_min, p_max) == pytest.approx(0.2093, abs=1e-4)
+    with pytest.raises(NumericalInstability, match=r"^alpha: window \(0\.375, 0\.375\): "):
+        check_renyi_diffusion(p, BoundInputs(div, alpha, p_min, p_max))

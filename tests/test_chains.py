@@ -1,5 +1,7 @@
 """End-to-end chains: prior, channel, estimator, relation."""
+import ast
 import dataclasses
+import inspect
 import itertools
 import math
 from collections import Counter
@@ -11,6 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import bsc, philox
+import fanokit
+from fanokit import bounds, chains
 from fanokit import (
     ChainSummary,
     Channel,
@@ -658,18 +662,64 @@ class TestJsonLoaders:
         with pytest.raises(FanoError):
             estimator_from_json({})
 
+    BINARY = {
+        "prior": {"outcomes": [0, 1], "weights": [0.5, 0.5]},
+        "channel": {"inputs": [0, 1], "outputs": [0, 1],
+                    "rows": [[0.9, 0.1], [0.2, 0.8]]},
+        "estimator": {"kind": "ml"},
+        "relation": {"kind": "equality"},
+    }
+
     def test_experiment_round_trip(self):
-        exp = experiment_from_json({
-            "prior": {"outcomes": [0, 1], "weights": [0.5, 0.5]},
-            "channel": {"inputs": [0, 1], "outputs": [0, 1],
-                        "rows": [[0.9, 0.1], [0.2, 0.8]]},
-            "estimator": {"kind": "ml"},
-            "relation": {"kind": "equality"},
-            "n": 2,
-        })
+        exp = experiment_from_json(dict(self.BINARY, n=2))
         assert exp.n_samples == 2
         s = enumerate_chain(exp)
         assert s.exact and 0.0 <= s.p_rel <= 1.0
+
+    def test_an_integral_float_sample_count_is_whole(self):
+        exp = experiment_from_json(dict(self.BINARY, n=3.0))
+        assert exp.n_samples == 3 and type(exp.n_samples) is int
+
+    @pytest.mark.parametrize("n", [2.7, True, "3"])
+    def test_sample_counts_are_refused_not_truncated(self, n):
+        # int() used to run these as n = 2, 1 and 3
+        with pytest.raises(FanoError, match="^n: must be a whole number"):
+            experiment_from_json(dict(self.BINARY, n=n))
+        with pytest.raises(FanoError, match="^n: must be a whole number"):
+            Experiment(HALF, bsc(0.1), MLEstimator(), equality_relation(), n_samples=n)
+
+
+class TestSamplesBound:
+    def test_it_lives_in_the_chain_layer_with_its_signature(self):
+        assert fanokit.independent_samples_bound is chains.independent_samples_bound
+        assert list(inspect.signature(chains.independent_samples_bound).parameters) == [
+            "prior", "channel", "n", "estimator", "rel", "bounds", "base", "tolerance"]
+
+    def test_the_bound_layer_imports_nothing_from_the_chain_layer(self):
+        imported = []
+        for node in ast.walk(ast.parse(inspect.getsource(bounds))):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                imported.append(node.module)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported += [alias.name for alias in node.names]
+        assert imported and not any("chains" in name.split(".") for name in imported)
+
+    def test_an_exact_certify_enumerates_twice_and_computes_beta_twice(self, monkeypatch):
+        # once for certify's own summary and once inside the samples bound,
+        # which reads beta from that summary instead of computing it again
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("enumerate_chain", "compute_beta"):
+            monkeypatch.setattr(chains, name, counting(name, getattr(chains, name)))
+        ids = [r.instance_id for r in certify(noisy_three())]
+        assert "samples-mi-per-use" in ids
+        assert calls == {"enumerate_chain": 2, "compute_beta": 2}
 
 
 def test_fabricated_summaries_are_rejected():

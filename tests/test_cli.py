@@ -1,4 +1,5 @@
 """Command-line interface: parsing, formats, exit codes, determinism."""
+import argparse
 import itertools
 import json
 import math
@@ -9,7 +10,7 @@ import sys
 import pytest
 
 from fanokit import binary_renyi_divergence
-from fanokit.cli import main
+from fanokit.cli import build_parser, main
 
 P_JSON = '{"outcomes": [0, 1], "weights": [0.3, 0.7]}'
 Q_JSON = '{"outcomes": [0, 1], "weights": [0.6, 0.4]}'
@@ -273,6 +274,99 @@ class TestErrors:
             "bound", '{"divergence": 0.1, "p_min": 0.5, "p_max": 0.5, "p": 0.5}'
         )
         assert code == 2 and "error:" in err
+
+
+class TestFlags:
+    # each subcommand takes --format, --out and the shared flags it reads
+    ACCEPTED = {
+        "divergence": {"--alpha", "--base", "--format", "--out"},
+        "bound": {"--alpha", "--pmin", "--pmax", "--base", "--format", "--out",
+                  "--tolerance", "--seed"},
+        "solve": {"--alpha", "--pmin", "--pmax", "--base", "--format", "--out",
+                  "--seed"},
+        "certify": {"--trials", "--n", "--base", "--format", "--out", "--tolerance",
+                    "--seed"},
+        "sweep": {"--k", "--denominator", "--alphas", "--timing", "--format", "--out",
+                  "--tolerance"},
+        "volume": {"--method", "--samples", "--resolution", "--format", "--out",
+                   "--seed"},
+    }
+    # accepted and ignored before each subcommand declared only what it reads
+    REMOVED = [
+        ["divergence", P_JSON, Q_JSON, "--tolerance", "0.5"],
+        ["divergence", P_JSON, Q_JSON, "--seed", "3"],
+        ["solve", '{"divergence": 0.1, "p_min": 0.0, "p_max": 0.5}', "--tolerance", "0.5"],
+        ["sweep", "--k", "2", "--denominator", "2", "--base", "2"],
+        ["sweep", "--k", "2", "--denominator", "2", "--seed", "3"],
+        ["volume", '{"box": [[0.0, 1.0]], "metric": "abs", "t": 0.1}', "--base", "2"],
+        ["volume", '{"box": [[0.0, 1.0]], "metric": "abs", "t": 0.1}', "--tolerance",
+         "0.5"],
+    ]
+
+    def test_each_subcommand_declares_the_flags_it_reads(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        accepted = {name: {flag for action in p._actions for flag in action.option_strings}
+                    - {"-h", "--help"} for name, p in sub.choices.items()}
+        assert accepted == self.ACCEPTED
+        shared = {"--base", "--format", "--out", "--tolerance", "--seed"}
+        assert sum(len(flags & shared) for flags in accepted.values()) == 23
+
+    @pytest.mark.parametrize("argv", REMOVED, ids=lambda argv: argv[0] + argv[-2])
+    def test_a_removed_flag_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments: %s %s" % (argv[-2], argv[-1]) in err
+
+
+class TestRoundedZero:
+    # order-alpha bounds whose exponent cancels below double precision: the
+    # float bound is 0, the 60-digit one is positive and holds
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--alphas", "32"],
+        ["sweep", "--k", "2,3", "--denominator", "16", "--alphas", "16"],
+        ["bound", '{"kind": "renyi", "alpha": 32, "divergence": 0.33216477234300257, '
+                  '"p_min": 0.375, "p_max": 0.375, "p": 0.125}'],
+    ], ids=["sweep-a32", "sweep-d16-a16", "bound-a32"])
+    def test_an_undecidable_verdict_is_an_error_not_a_violation(self, argv, capsys):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: alpha: ")
+        assert "double precision cannot decide this instance" in err
+
+    def test_the_sweep_names_the_instance(self, capsys):
+        assert main(["sweep", "--alphas", "32"]) == 2
+        assert "instance k2-p1.7-q3.5-e1-tight-a32.0:" in capsys.readouterr().err
+
+    def test_a_zero_bound_that_fails_past_rounding_is_still_violated(self, capsys):
+        # a = 0 exactly (no divergence, no entropy, p_min = 0): raising it by
+        # its rounding bound changes nothing, so p = 1 is a plain violation
+        body = ('{"kind": "renyi", "alpha": 32, "divergence": 0.0, "p_min": 0.0, '
+                '"p_max": 0.5, "p": 1.0}')
+        assert main(["bound", body, "--format", "json"]) == 1
+        report = json.loads(capsys.readouterr().out)["reports"]["report"]
+        assert report["bound_value"] == 0.0
+
+
+class TestCertifySampleCount:
+    @pytest.mark.parametrize("n", [2.7, True, "3"])
+    def test_a_fractional_or_non_numeric_n_is_refused(self, n, capsys):
+        assert main(["certify", json.dumps(dict(TestCertify.EXPERIMENT, n=n))]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: n: must be a whole number")
+
+    def test_an_integral_float_n_runs(self, capsys):
+        exp = json.dumps(dict(TestCertify.EXPERIMENT, n=2.0))
+        assert main(["certify", exp, "--format", "json"]) == 0
+        want = json.loads(capsys.readouterr().out)
+        assert main(["certify", json.dumps(dict(TestCertify.EXPERIMENT, n=2)),
+                     "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == want
 
 
 # -- golden stdout -------------------------------------------------------------

@@ -28,6 +28,8 @@ from fanokit.divergences import (
     _binary_entropy_nats,
     _binary_renyi_entropy_nats,
     _column_fsums,
+    _kl_nats,
+    _scale,
 )
 from fanokit.errors import MismatchedOutcomeSets, NegativeAlpha, OutOfRangeProbability
 
@@ -238,3 +240,63 @@ def test_private_entropy_helpers_equal_the_public_functions_bitwise(alpha):
         assert _binary_entropy_nats(p).hex() == binary_entropy(p).hex()
         assert (_binary_renyi_entropy_nats(p, alpha).hex()
                 == binary_renyi_entropy(p, alpha).hex())
+
+
+# -- KL is the order-1 divergence ------------------------------------------------
+
+# raw weights with zero atoms and tiny masses, normalised before use
+KL_WEIGHTS = st.sampled_from([0.0, 0.0, 1e-300, 1e-12, 0.5, 1.0, 2.0, 3.0])
+KL_BASES = st.sampled_from([math.e, 2.0, 10.0, 1.5])
+
+
+def _distribution(raw):
+    total = math.fsum(raw)
+    return FiniteDistribution(tuple(range(len(raw))), [w / total for w in raw])
+
+
+def _kl_before_the_fold(P, Q, base):
+    """kl_divergence's body before it became the order-1 call."""
+    if np.array_equal(P.weights, Q.weights):
+        return 0.0
+    return _scale(_kl_nats(list(zip(P.weights.tolist(), Q.weights.tolist()))), base)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda k: st.tuples(
+           st.lists(KL_WEIGHTS, min_size=k, max_size=k).filter(any),
+           st.lists(KL_WEIGHTS, min_size=k, max_size=k).filter(any))),
+       KL_BASES, st.booleans())
+@example(([0.0, 1.0], [0.0, 1.0]), math.e, False)       # P = Q with a zero atom
+def test_kl_divergence_is_the_order_one_divergence_bitwise(raw, base, same):
+    P = _distribution(raw[0])
+    Q = P if same else _distribution(raw[1])
+    got = kl_divergence(P, Q, base)
+    assert got.hex() == renyi_divergence(P, Q, 1.0, base).hex()
+    assert got.hex() == _kl_before_the_fold(P, Q, base).hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0.0, 1.0)),
+       st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0.0, 1.0)),
+       KL_BASES, st.booleans())
+@example(0.3, 0.3, math.e, False)
+@example(1.0, 0.0, 2.0, False)
+def test_binary_kl_is_the_order_one_binary_divergence_bitwise(p, q, base, same):
+    q = p if same else q
+    got = binary_kl(p, q, base)
+    assert got.hex() == binary_renyi_divergence(p, q, 1.0, base).hex()
+    want = 0.0 if p == q else _scale(_kl_nats(((p, q), (1.0 - p, 1.0 - q))), base)
+    assert got.hex() == want.hex()
+
+
+@pytest.mark.parametrize("call, error, field", [
+    (lambda: binary_kl(1.2, 0.5), OutOfRangeProbability, "p"),
+    (lambda: binary_kl(0.5, -0.1), OutOfRangeProbability, "q"),
+    (lambda: binary_kl(0.5, 0.5, base=1.0), OutOfRangeProbability, "base"),
+    (lambda: kl_divergence(P_37, FiniteDistribution((1, 0), (0.6, 0.4))),
+     MismatchedOutcomeSets, "P and Q"),
+    (lambda: kl_divergence(P_37, Q_64, base=0.5), OutOfRangeProbability, "base"),
+])
+def test_the_kl_forms_validate_as_before(call, error, field):
+    with pytest.raises(error, match="^" + field):
+        call()

@@ -13,7 +13,7 @@ from fanokit import (
     verify_power_sum,
     verify_support_bound,
 )
-from fanokit.errors import FanoError, GridTooLarge, NumericalInstability
+from fanokit.errors import BadPminPmax, FanoError, GridTooLarge, NumericalInstability
 from fanokit.bounds import _kl_rhs_nats, _renyi_rhs_nats
 from fanokit.divergences import _kl_nats, _renyi_nats
 from fanokit import verify
@@ -236,6 +236,15 @@ class TestLimitTables:
     def test_unknown_side(self):
         with pytest.raises(NumericalInstability):
             verify_limit(self.P, self.Q, self.event, 0.0, 0.2, side="sideways")
+
+    @pytest.mark.parametrize("p_min, p_max, message", [
+        (0.0, 0.0, "^p_max: must be > 0"),
+        (0.6, 0.5, "^p_min, p_max: need p_min \\+ p_max < 1")])
+    def test_the_window_is_checked_before_the_kernels(self, p_min, p_max, message):
+        # before, p_max = 0 escaped as a bare math domain error and an
+        # oversized window read as a sign disagreement of the ratio
+        with pytest.raises(BadPminPmax, match=message):
+            verify_limit(self.P, self.Q, self.event, p_min, p_max)
 
     def test_depth_is_limited_by_the_kl_routing_band(self):
         # ten digits in would land inside the band where orders reroute to
