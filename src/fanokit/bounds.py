@@ -274,49 +274,51 @@ def _renyi_ratio(div: float, alpha: float, p: float,
     return a_val, num * power_sum, den
 
 
-def _log_ratio_past_overflow(a_val: float, num: float, alpha: float,
-                             p_min: float, p_max: float) -> float:
-    """ln(num / den) for a positive num when den overflowed (orders above
-    one): den is then e^((alpha-1) L) to double precision, and so is num
-    e^((alpha-1) a) when it overflowed too. A subnormal num is the product
-    (alpha-1) a short of digits, so its log comes from the two factors."""
+def _log_cleared_ratio(a_val: float, num: float, den: float, alpha: float,
+                       p: float, p_min: float, p_max: float) -> float:
+    """ln(num / den) of the cleared order-alpha ratio for a > 0, where num,
+    den or their ratio leaves the normal double range. An overflowed term
+    is e^((alpha-1) a) or e^((alpha-1) L) to double precision. A numerator
+    below the normal range is (alpha-1) a times the power-sum factor, short
+    of digits or rounded to 0, so its log comes from the factors."""
     a1 = alpha - 1.0
     if math.isinf(num):
         log_num = a1 * a_val
-    elif num < sys.float_info.min:
-        log_num = math.log(a1) + math.log(a_val)
+    elif abs(num) < sys.float_info.min:
+        log_num = math.log(abs(a1)) + math.log(a_val) + math.log(_event_terms(p, alpha)[1])
     else:
-        log_num = math.log(num)
-    return log_num - a1 * _window_terms(p_min, p_max, alpha)[1]
+        log_num = math.log(abs(num))
+    if math.isinf(den):
+        return log_num - a1 * _window_terms(p_min, p_max, alpha)[1]
+    return log_num - math.log(abs(den))
 
 
 def _renyi_rhs_nats(div: float, alpha: float, p: float,
                     p_min: float, p_max: float) -> float:
     """RHS of the order-alpha diffusion bound; raises InconsistentBounds when
     the exponent combination is negative beyond rounding (divergence too
-    small for the window, so the cleared ratio would be negative). inf
-    where the bound passes the double range."""
+    small for the window, so the cleared ratio would be negative). Where
+    num, den or the ratio leaves the normal double range, the ratio is
+    taken in logs; inf where the bound passes the double range."""
     a_val, num, den = _renyi_ratio(div, alpha, p, p_min, p_max)
-    if a_val < 0.0:
+    if a_val <= 0.0:
         if a_val >= -RENYI_ZERO_BAND:
             return 0.0
         raise InconsistentBounds(
             "divergence: too small for the occupancy window at this order "
             "(the bound's ratio would be negative)"
         )
-    if num == 0.0:
-        return 0.0
     try:
-        if math.isinf(den):
-            return math.exp(
-                _log_ratio_past_overflow(a_val, num, alpha, p_min, p_max) / alpha)
         ratio = num / den
         if ratio < 0.0:
             raise NumericalInstability(
                 "alpha: numerator and denominator of the order-alpha ratio "
                 "disagree in sign"
             )
-        return ratio ** (1.0 / alpha)
+        if sys.float_info.min <= ratio < math.inf:
+            return ratio ** (1.0 / alpha)
+        return math.exp(
+            _log_cleared_ratio(a_val, num, den, alpha, p, p_min, p_max) / alpha)
     except OverflowError:     # the root of a huge ratio at a small order
         return math.inf
 
@@ -500,7 +502,7 @@ def solve_diffusion(inputs: BoundInputs) -> BoundReport:
                 return num
             if num <= 0.0:
                 return -1.0
-            return (_log_ratio_past_overflow(a_val, num, alpha, p_min, p_max)
+            return (_log_cleared_ratio(a_val, num, den, alpha, p, p_min, p_max)
                     - alpha * math.log(p))
 
         sup = _feasible_sup(g, None)

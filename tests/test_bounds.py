@@ -695,6 +695,7 @@ def outcome(f, *args):
        p_min=st.one_of(st.just(0.0), st.floats(0.0, 0.98)),
        share=st.floats(1e-6, 1.0, exclude_max=True), div=st.floats(0.0, 8.0),
        p=st.floats(0.0, 1.0))
+@example(alpha=89.0, p_min=0.25, share=0.9999999999999998, div=8.0, p=0.0)  # ratio overflows
 def test_renyi_bound_and_solve_match_the_inline_ratio(alpha, p_min, share, div, p):
     # orders in the thousands overflow expm1 in the numerator and the
     # denominator. The inline ratio is the reference wherever the
@@ -702,21 +703,48 @@ def test_renyi_bound_and_solve_match_the_inline_ratio(alpha, p_min, share, div, 
     # NaN (inf / inf) or 0 (finite / inf) and found no feasible point, and
     # test_order_alpha_past_the_double_range_matches_mpmath pins the new
     # values. A huge ratio's root at a small order overflowed; it is inf now.
+    # Where the inline ratio itself left the normal doubles (an overflowed
+    # numerator gave inf, a subnormal or zero one a lossy or zero root), the
+    # bound is now taken in logs and pinned to 60 digits.
     p_max = (1.0 - p_min) * share
     if p_min + p_max >= 1.0 or denominator_overflows(alpha, p_min, p_max):
         return
     inputs = BoundInputs(div, alpha, p_min, p_max)
-    want = outcome(renyi_rhs_reference, div, alpha, p, p_min, p_max)
-    if want is OverflowError:
-        want = math.inf
-    got = outcome(lambda: check_renyi_diffusion(p, inputs).bound_value)
-    assert repr(got) == repr(want)     # bit for bit
+    if ratio_leaves_the_normal_range(div, alpha, p, p_min, p_max):
+        assert_close_to_mpmath(_renyi_rhs_nats(div, alpha, p, p_min, p_max),
+                               rhs_from_exponent_mpmath(div, alpha, p, p_min, p_max))
+    else:
+        want = outcome(renyi_rhs_reference, div, alpha, p, p_min, p_max)
+        if want is OverflowError:
+            want = math.inf
+        got = outcome(lambda: check_renyi_diffusion(p, inputs).bound_value)
+        assert repr(got) == repr(want)     # bit for bit
     want = renyi_solve_reference(div, alpha, p_min, p_max)
     if want is None:
         with pytest.raises(NoFeasiblePoint):
             solve_diffusion(inputs)
     else:
         assert solve_diffusion(inputs).feasible_sup == want
+
+
+def ratio_leaves_the_normal_range(div, alpha, p, p_min, p_max):
+    """Whether the inline ratio num / den of a positive exponent lies
+    outside the normal doubles (den within the double range)."""
+    a_val, num, den = renyi_ratio_reference(div, alpha, p, p_min, p_max)
+    return a_val > 0.0 and not sys.float_info.min <= num / den < math.inf
+
+
+def rhs_from_exponent_mpmath(div, alpha, p, p_min, p_max):
+    """The order-alpha bound at 60 digits from the double exponent a and
+    log ratio L the kernels compute, so that their own rounding does not
+    count."""
+    a_val = renyi_ratio_reference(div, alpha, p, p_min, p_max)[0]
+    with mpmath.workdps(60):
+        a, p = mpmath.mpf(alpha), mpmath.mpf(p)
+        power_sum = p ** a + (1 - p) ** a if alpha < 1.0 else 1
+        num = mpmath.expm1((a - 1) * mpmath.mpf(a_val)) * power_sum
+        den = mpmath.expm1((a - 1) * mpmath.mpf(_log_ratio(p_min, p_max)))
+        return float((num / den) ** (1 / a))
 
 
 def renyi_rhs_mpmath(div, alpha, p, p_min, p_max):
@@ -756,6 +784,10 @@ def assert_close_to_mpmath(got, want):
     (0.0, 1026.0, 0.4, 0.0, 0.5),                 # the denominator alone: was 0
     (1.0, 0.03125, 0.0, 0.0, 0.9999999999999999),  # the root overflows: was OverflowError
     (3.0, 2000.0, 0.25, 0.1, 0.3),
+    (2.0, 700.0, 0.5, 0.0, 0.5),                  # the numerator alone: was inf
+    (5e-324, 60.5, 0.0, 0.0, 0.3),                # a subnormal exponent: was 0
+    (5e-324, 2.5, 0.0, 0.0, 0.5),                 # was 8% off
+    (5e-324, 1.5, 0.0, 0.0, 0.5),                 # (alpha - 1) a rounds to 0: was 0
 ])
 def test_order_alpha_past_the_double_range_matches_mpmath(div, alpha, p, p_min, p_max):
     got = check_renyi_diffusion(p, BoundInputs(div, alpha, p_min, p_max))
@@ -876,7 +908,8 @@ def test_memoised_kernels_match_the_uncached_bodies(calls, fill, interleave):
             assert repr(check_kl_diffusion(q, inputs).bound_value) == want
             assert (repr(_renyi_ratio(d, a, q, lo, hi))
                     == repr(renyi_ratio_reference(d, a, q, lo, hi)))
-            if not denominator_overflows(a, lo, hi):
+            if not (denominator_overflows(a, lo, hi)
+                    or ratio_leaves_the_normal_range(d, a, q, lo, hi)):
                 want = outcome(renyi_rhs_reference, d, a, q, lo, hi)
                 want = repr(math.inf if want is OverflowError else want)
                 assert repr(outcome(_renyi_rhs_nats, d, a, q, lo, hi)) == want

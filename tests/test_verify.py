@@ -1,8 +1,12 @@
 """Self-check machinery: grid sweeps, support bounds, limit tables."""
 import math
+import sys
+import tracemalloc
 
+import mpmath
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import dirichlet_pair
 from fanokit import (
@@ -14,14 +18,20 @@ from fanokit import (
     verify_support_bound,
 )
 from fanokit.errors import BadPminPmax, FanoError, GridTooLarge, NumericalInstability
-from fanokit.bounds import _kl_rhs_nats, _renyi_rhs_nats
+from fanokit.bounds import _kl_rhs_nats, _refuse_rounded_zero, _renyi_rhs_nats
 from fanokit.divergences import _kl_nats, _renyi_nats
 from fanokit import verify
 from fanokit.verify import _compositions, _planned_instances
 
 
-def sweep_reference(spec, kl_rhs=_kl_rhs_nats, renyi_rhs=_renyi_rhs_nats):
-    """sweep_diffusion's loop as written before its per-P and per-Q tables:
+def reference_id(k, p_parts, q_parts, mask, tag, alpha_key):
+    return "k%d-p%s-q%s-e%d-%s-a%s" % (k, ".".join(map(str, p_parts)),
+                                       ".".join(map(str, q_parts)), mask, tag, alpha_key)
+
+
+def sweep_reference(spec):
+    """sweep_diffusion as one scalar loop, one kernel call per instance, as
+    written before its per-P and per-Q tables and its vector pass:
     (instances, violations, max_violation, worst_instance)."""
     d = spec.weight_grid_denominator
     instances = 0
@@ -49,21 +59,23 @@ def sweep_reference(spec, kl_rhs=_kl_rhs_nats, renyi_rhs=_renyi_rhs_nats):
                     for tag, p_min, p_max in windows:
                         for alpha_key, alpha, div in divs:
                             if alpha is None:
-                                rhs = kl_rhs(div, p_event, p_min, p_max)
+                                rhs = _kl_rhs_nats(div, p_event, p_min, p_max)
                             else:
-                                rhs = renyi_rhs(div, alpha, p_event, p_min, p_max)
+                                rhs = _renyi_rhs_nats(div, alpha, p_event, p_min, p_max)
                             excess = p_event - rhs
                             instances += 1
                             if excess > spec.tolerance:
+                                if rhs == 0.0 and alpha is not None:
+                                    _refuse_rounded_zero(
+                                        div, alpha, p_event, p_min, p_max, spec.tolerance,
+                                        "instance " + reference_id(
+                                            k, p_parts, q_parts, mask, tag, alpha_key))
                                 violations += 1
                             if excess > max_excess:
                                 max_excess = excess
                                 worst = {
-                                    "id": "k%d-p%s-q%s-e%d-%s-a%s" % (
-                                        k,
-                                        ".".join(map(str, p_parts)),
-                                        ".".join(map(str, q_parts)),
-                                        mask, tag, alpha_key),
+                                    "id": reference_id(k, p_parts, q_parts, mask, tag,
+                                                       alpha_key),
                                     "k": k,
                                     "p": p_vec,
                                     "q": q_vec,
@@ -78,12 +90,25 @@ def sweep_reference(spec, kl_rhs=_kl_rhs_nats, renyi_rhs=_renyi_rhs_nats):
     return instances, violations, max_excess, worst
 
 
-def recording(calls, kernel):
-    """kernel, appending its name and arguments to calls on every call."""
-    def record(*args):
-        calls.append((kernel.__name__,) + args)
-        return kernel(*args)
-    return record
+def outcome(run):
+    """repr of run()'s result, or the type and message of the FanoError it
+    raises: a float compares bit for bit, an error by type and text."""
+    try:
+        return repr(run())
+    except FanoError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def summary_tuple(s):
+    return s.instances, s.violations, s.max_violation, s.worst_instance
+
+
+def reference_summary(spec):
+    """sweep_diffusion's SweepSummary, built by the reference loop."""
+    instances, violations, max_violation, worst = sweep_reference(spec)
+    return verify.SweepSummary(instances=instances, violations=violations,
+                               max_violation=max_violation, worst_instance=worst,
+                               elapsed_ms=0.0)
 
 
 class TestSweep:
@@ -131,30 +156,76 @@ class TestSweep:
 
     @settings(max_examples=60, deadline=None)
     @given(counts=st.lists(st.integers(1, 3), min_size=1, max_size=3),
-           d=st.integers(1, 6),
-           alphas=st.tuples(st.floats(0.05, 0.95), st.floats(1.05, 6.0)),
-           more=st.lists(st.sampled_from([0.25, 0.5, 2.0, 4.0]), max_size=2),
-           tolerance=st.one_of(st.just(1e-9), st.floats(-1.0, 0.0)))
-    def test_the_sweep_matches_the_old_loop(self, counts, d, alphas, more, tolerance):
+           d=st.integers(1, 8),
+           alphas=st.tuples(st.floats(0.05, 0.95), st.floats(1.05, 100.0)),
+           more=st.lists(st.sampled_from([0.25, 0.5, 2.0, 4.0, 16.0, 32.0, 64.0, 100.0]),
+                         max_size=2),
+           tolerance=st.one_of(st.just(1e-9), st.floats(-1.0, 0.0)),
+           block=st.sampled_from([verify._BLOCK_INSTANCES, 16, 128]))
+    # an order near 1, where the divergence's rounding weighs most,
+    # excesses exactly at the tolerance, and rows split into runs of windows
+    @example(counts=[3], d=7, alphas=(0.96875,), more=[], tolerance=1e-9,
+             block=verify._BLOCK_INSTANCES)
+    @example(counts=[3], d=3, alphas=(0.5, 2.0), more=[], tolerance=-1.0,
+             block=verify._BLOCK_INSTANCES)
+    @example(counts=[2], d=7, alphas=(0.5, 2.0), more=[], tolerance=1e-9, block=16)
+    def test_the_sweep_matches_the_old_loop(self, counts, d, alphas, more, tolerance,
+                                            block):
         # negative tolerances count violations, and ties in the excess
-        # (exact zeros above all) exercise the first-max rule; the kernel
-        # calls, made through verify's module names, come in the same order
-        # with the same arguments
+        # (exact zeros above all) exercise the first-max rule; large orders
+        # reach the bounds that are 0 only by rounding, which both refuse.
+        # Small blocks split rows into runs of windows.
         spec = SweepSpec(outcome_counts=tuple(counts), weight_grid_denominator=d,
                          alphas=alphas + tuple(more), tolerance=tolerance)
-        got_calls, want_calls = [], []
+        want = outcome(lambda: sweep_reference(spec))
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(verify, "_kl_rhs_nats", recording(got_calls, _kl_rhs_nats))
-            patch.setattr(verify, "_renyi_rhs_nats",
-                          recording(got_calls, _renyi_rhs_nats))
-            s = sweep_diffusion(spec)
-        want = sweep_reference(spec, recording(want_calls, _kl_rhs_nats),
-                               recording(want_calls, _renyi_rhs_nats))
-        assert (s.instances, s.violations, s.max_violation, s.worst_instance) == want
-        assert len(got_calls) == len(want_calls)
-        first = next((i for i, (g, w) in enumerate(zip(got_calls, want_calls))
-                      if repr(g) != repr(w)), None)
-        assert first is None, (got_calls[first], want_calls[first])
+            patch.setattr(verify, "_BLOCK_INSTANCES", block)
+            assert outcome(lambda: summary_tuple(sweep_diffusion(spec))) == want
+
+    def test_the_default_sweep_matches_the_old_loop(self):
+        spec = SweepSpec()
+        assert repr(summary_tuple(sweep_diffusion(spec))) == repr(sweep_reference(spec))
+
+    def test_the_default_sweep_rarely_reaches_the_scalar_kernels(self):
+        # the vector pass decides all but the instances near the maximum
+        # (the tight windows where the bound is an equality) and the few
+        # with an exponent near 0
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("_kl_rhs_nats", "_renyi_rhs_nats", "_kl_nats", "_renyi_nats"):
+                kernel = getattr(verify, name)
+                patch.setattr(verify, name, lambda *args, kernel=kernel, name=name: (
+                    calls.append(name), kernel(*args))[1])
+            s = sweep_diffusion(SweepSpec())
+        rhs_calls = calls.count("_kl_rhs_nats") + calls.count("_renyi_rhs_nats")
+        assert s.instances == 615_600
+        assert 0 < rhs_calls < 0.01 * s.instances
+        assert len(calls) - rhs_calls <= rhs_calls
+
+    def test_one_sweep_holds_under_a_megabyte(self):
+        # the blocks bound the working set, whatever the grid
+        sweep_diffusion(SweepSpec())
+        tracemalloc.start()
+        try:
+            sweep_diffusion(SweepSpec())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--alphas", "32"],
+        ["sweep", "--alphas", "64"],
+        ["sweep", "--k", "2,3", "--denominator", "16", "--alphas", "16"],
+    ], ids=["a32", "a64", "d16-a16"])
+    def test_a_refused_sweep_fails_as_the_old_loop_does(self, argv, capsys):
+        from fanokit.cli import main
+        got = main(argv), capsys.readouterr()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verify, "sweep_diffusion", reference_summary)
+            want = main(argv), capsys.readouterr()
+        assert got == want
+        assert got[0] == 2 and "double precision cannot decide this instance" in got[1].err
 
     @pytest.mark.parametrize("counts", [(0,), (2, 0), (-1, 3)])
     def test_outcome_counts_below_one_are_refused(self, counts):
@@ -167,6 +238,34 @@ class TestSweep:
             sweep_diffusion(SweepSpec(outcome_counts=(2,),
                                       weight_grid_denominator=4,
                                       alphas=(alpha,)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(xs=st.lists(st.floats(-745.0, 709.0), min_size=16, max_size=64),
+       ys=st.lists(st.floats(1e-300, 1e300), min_size=16, max_size=64),
+       alpha=st.floats(0.05, 128.0))
+def test_transcendentals_are_within_the_ulps_the_sweep_assumes(xs, ys, alpha):
+    # numpy's and math's exp, expm1, log and pow against 60 digits, on whole
+    # arrays so that numpy's vector loops run
+    x, y = np.array(xs), np.array(ys)
+    root = 1.0 / alpha
+    with np.errstate(over="ignore"):
+        roots = y ** root
+    cases = [
+        (mpmath.exp, np.minimum(x, 0.0), np.exp(np.minimum(x, 0.0)), math.exp),
+        (mpmath.expm1, x, np.expm1(x), math.expm1),
+        (mpmath.log, y, np.log(y), math.log),
+        (lambda v: v ** mpmath.mpf(root), y, roots, lambda v: v ** root),
+    ]
+    with mpmath.workdps(60):
+        for exact, args, got, scalar in cases:
+            for arg, vector in zip(args.tolist(), got.tolist()):
+                want = exact(mpmath.mpf(arg))
+                if not want < sys.float_info.max:
+                    continue
+                ulp = math.ulp(float(want))
+                assert abs(vector - want) <= verify.TRANSCENDENTAL_ULPS * ulp, (exact, arg)
+                assert abs(scalar(arg) - want) <= verify.TRANSCENDENTAL_ULPS * ulp, (exact, arg)
 
 
 class TestSupportBound:
