@@ -23,6 +23,7 @@ from .distributions import (
     JointDistribution,
     _kron_rows,
     _label_from_json,
+    _types,
     event_probability,
     joint_from_prior_and_channel,
 )
@@ -157,20 +158,6 @@ def _ml_picks(matrix: np.ndarray, types: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(types > 0, types * np.log(matrix)[:, None, :], 0.0)
     return np.argmax(np.sort(terms, axis=2).sum(axis=2), axis=0)
-
-
-def _types(m: int, n: int) -> np.ndarray:
-    """Every type (count vector) of n draws from m symbols, one per row: the
-    C(n + m - 1, m - 1) ways to place m - 1 bars among n + m - 1 slots (stars
-    and bars), in lexicographic order of the bar positions."""
-    k = m - 1
-    count = math.comb(n + k, k)
-    slots = range(n + k) if k else ()          # one symbol: one type, whatever n
-    bars = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(slots, k)),
-        dtype=np.intp, count=count * k).reshape(count, k)
-    edges = np.hstack([np.full((count, 1), -1), bars, np.full((count, 1), n + k)])
-    return np.diff(edges, axis=1) - 1
 
 
 # the largest n whose n! is a finite float64; up to it multinomials are exact

@@ -136,6 +136,15 @@ def _emit(args, result) -> None:
     _write_output(text, args.out)
 
 
+def _tolerance(text: str) -> float:
+    """--tolerance: any float but NaN, which every check would compare false
+    with, passing or failing all of them."""
+    value = float(text)
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"tolerance: must be a number, got {text!r}")
+    return value
+
+
 # Flags several subcommands share, in help order. Each subcommand declares
 # --format, --out and those of the rest that it reads.
 SHARED_FLAGS = {
@@ -143,7 +152,7 @@ SHARED_FLAGS = {
     "format": dict(choices=("table", "json", "csv"), default="table",
                    help="output format"),
     "out": dict(default=None, help="write output to this file"),
-    "tolerance": dict(type=float, default=1e-9, help="slack tolerance for pass/fail"),
+    "tolerance": dict(type=_tolerance, default=1e-9, help="slack tolerance for pass/fail"),
     "seed": dict(type=int, default=0, help="stream seed"),
 }
 

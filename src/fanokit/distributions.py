@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
 import numpy as np
@@ -54,7 +54,6 @@ class FiniteDistribution:
 
     outcomes: tuple
     weights: np.ndarray
-    _index: dict = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
         outcomes = _check_labels(self.outcomes, "distribution")
@@ -219,8 +218,6 @@ class Channel:
             )
         for i, row in enumerate(arr):
             _check_weights(row.copy(), f"channel row {ins[i]!r}")
-        if not arr.flags.writeable:
-            arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "input_outcomes", ins)
         object.__setattr__(self, "output_outcomes", outs)
@@ -262,6 +259,21 @@ def _kron_rows(matrix: np.ndarray, n: int) -> np.ndarray:
     for _ in range(n - 1):
         rows = (rows[:, :, None] * matrix[:, None, :]).reshape(len(matrix), -1)
     return rows
+
+
+def _types(m: int, n: int) -> np.ndarray:
+    """Every type (count vector) of n draws from m symbols, one per row: the
+    C(n + m - 1, m - 1) ways to place m - 1 bars among n + m - 1 slots (stars
+    and bars), in lexicographic order of the bar positions, which is the
+    lexicographic order of the count vectors."""
+    k = m - 1
+    count = math.comb(n + k, k)
+    slots = range(n + k) if k else ()          # one symbol: one type, whatever n
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(slots, k)),
+        dtype=np.intp, count=count * k).reshape(count, k)
+    edges = np.hstack([np.full((count, 1), -1), bars, np.full((count, 1), n + k)])
+    return np.diff(edges, axis=1) - 1
 
 
 # -- JSON parsing -----------------------------------------------------------

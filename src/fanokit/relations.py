@@ -80,19 +80,17 @@ def _as_vector(label) -> tuple:
 
 
 def metric_from_name(name: str) -> Callable[[Any, Any], float]:
-    """Named metrics on numeric labels (scalars or equal-length tuples)."""
-    if name == "abs":
-        def rho(x, xhat):
-            (a,), (b,) = _as_vector(x), _as_vector(xhat)
-            return abs(a - b)
-        return rho
-    if name in ("l1", "l2", "linf"):
+    """Named metrics on numeric labels (scalars or equal-length tuples);
+    "abs" is l1 on scalar labels."""
+    if name in ("abs", "l1", "l2", "linf"):
         def rho(x, xhat, _name=name):
             a, b = _as_vector(x), _as_vector(xhat)
+            if _name == "abs" and (len(a), len(b)) != (1, 1):
+                raise FanoError(f"metric: 'abs' needs scalar labels, got {x!r} and {xhat!r}")
             if len(a) != len(b):
                 raise FanoError("metric: labels have mismatched dimensions")
             diffs = [abs(u - v) for u, v in zip(a, b)]
-            if _name == "l1":
+            if _name in ("abs", "l1"):
                 return math.fsum(diffs)
             if _name == "linf":
                 return max(diffs)
@@ -184,11 +182,11 @@ def ball_counts(rho: Callable[[Any, Any], float], t: float,
 # -- continuous domains -----------------------------------------------------
 
 _VECTOR_METRICS = {
-    "abs": lambda diff: np.abs(diff).sum(axis=1),
     "l1": lambda diff: np.abs(diff).sum(axis=1),
     "l2": lambda diff: np.sqrt((diff * diff).sum(axis=1)),
     "linf": lambda diff: np.abs(diff).max(axis=1),
 }
+_VECTOR_METRICS["abs"] = _VECTOR_METRICS["l1"]      # on 1-d boxes only
 
 
 @dataclass(frozen=True)

@@ -5,18 +5,20 @@ event, both admissible occupancy windows, and every configured order, then
 checks the diffusion bounds through the same evaluators the library exposes.
 A violation is a signed excess (observed - bound) above tolerance, in nats.
 
-Its verdict is computed in two passes that give the scalar loop's bytes. A
-vector pass evaluates every instance's divergence, exponent and bound as
-numpy arrays, block by block, with a proven band around each excess: the
-distance the scalar kernels' double can lie from it (_block_excess). The
-scalar kernels then re-evaluate, in loop order, the instances whose band
-reaches the tolerance or the running maximum, and every instance off the
-plain branch of the bound, where every error is raised
-(_sweep_outcome_count). The rest keep their vector verdict.
+The grids are count vectors from the type enumerator: P on every vector of
+the denominator, Q on those with no zero part. The verdict is computed in
+two passes that give the scalar loop's bytes. A vector pass evaluates every
+instance's divergence, exponent and bound as numpy arrays, in blocks of
+whole P rows, with a proven band around each excess: the distance the
+scalar kernels' double can lie from it (_block_excess). The scalar kernels
+then re-evaluate, in loop order, the instances whose band reaches the
+tolerance or the running maximum, and every instance off the plain branch
+of the bound, where every error is raised (_sweep_outcome_count). The rest
+keep their vector verdict. A block holds at least one row, so the peak
+memory grows with a row's windows times its orders.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 import time
@@ -33,7 +35,7 @@ from .bounds import (
     _renyi_rhs_nats,
     _window_terms,
 )
-from .distributions import FiniteDistribution
+from .distributions import FiniteDistribution, _types
 from .divergences import KL_ALPHA_BAND, _check_prob, _kl_nats, _renyi_nats, kl_divergence
 from .errors import FanoError, GridTooLarge, NumericalInstability
 
@@ -74,17 +76,6 @@ class SweepSummary:
         return obj
 
 
-def _compositions(total: int, parts: int, minimum: int):
-    """Ordered integer compositions of `total` into `parts` parts >= minimum."""
-    if parts == 1:
-        if total >= minimum:
-            yield (total,)
-        return
-    for first in range(minimum, total - minimum * (parts - 1) + 1):
-        for rest in _compositions(total - first, parts - 1, minimum):
-            yield (first,) + rest
-
-
 def _windows(q_event: float) -> tuple:
     """The occupancy windows (tag, p_min, p_max) tried for an event of mass
     q_event under Q: the tight one only where 2 Q(E) < 1, then the slack one."""
@@ -100,15 +91,24 @@ def _planned_instances(spec: SweepSpec) -> int:
     for k in spec.outcome_counts:
         per_window = math.comb(d + k - 1, k - 1) * (len(spec.alphas) + 1)
         # every event has its slack window: counted before any Q is listed
-        total += per_window * math.comb(d - 1, k - 1) * (2 ** k - 2)
-        if total > MAX_SWEEP_INSTANCES:
-            return total
-        for q in _compositions(d, k, 1):
-            q_vec = [a / d for a in q]
-            total += per_window * sum(
-                len(_windows(math.fsum(q_vec[i] for i in range(k) if mask >> i & 1))) - 1
-                for mask in range(1, 2 ** k - 1))
+        slack = per_window * math.comb(d - 1, k - 1) * (2 ** k - 2)
+        if total + slack > MAX_SWEEP_INSTANCES:
+            return total + slack
+        total += per_window * len(_event_windows(k, d)[2])
     return total
+
+
+def _event_windows(k: int, d: int) -> tuple:
+    """The full-support Q grid with k outcomes and denominator d (integer
+    parts, one row each), the proper nonempty events as outcome indices (the
+    event at index i has bit mask i + 1) and one (Q index, event index, tag,
+    p_min, p_max) per window, in loop order."""
+    q_grid = _types(k, d - k) + 1 if d >= k else np.empty((0, k), dtype=np.intp)
+    events = [[i for i in range(k) if m >> i & 1] for m in range(1, 2 ** k - 1)]
+    windows = [(qi, mi) + window for qi, q_parts in enumerate(q_grid.tolist())
+               for mi, bits in enumerate(events)
+               for window in _windows(math.fsum(q_parts[i] / d for i in bits))]
+    return q_grid, events, windows
 
 
 def _instance_id(k: int, p_parts, q_parts, mask: int, tag: str, alpha_key) -> str:
@@ -138,10 +138,13 @@ def sweep_diffusion(spec: SweepSpec) -> SweepSummary:
             f"sweep: at least {planned} planned instances exceed the cap {MAX_SWEEP_INSTANCES}"
         )
     for a in spec.alphas:
-        if a == 1.0 or a <= 0.0 or math.isinf(a):
+        if not 0.0 < a < math.inf or a == 1.0:
             raise NumericalInstability(
                 f"alphas: sweep orders must be finite, positive and != 1, got {a!r}"
             )
+    if math.isnan(spec.tolerance):
+        # every comparison with NaN is false: each instance would pass
+        raise FanoError("tolerance: must be a number, got nan")
 
     started = time.perf_counter()
     tally = _Tally(spec.tolerance)
@@ -158,9 +161,8 @@ def sweep_diffusion(spec: SweepSpec) -> SweepSummary:
     )
 
 
-# Instances per numpy block: whole P rows up to this many, or one row in
-# runs of windows up to twice this many (one window's orders where they
-# alone are more).
+# Instances per numpy block: whole P rows up to this many, or one row where
+# it alone holds more.
 _BLOCK_INSTANCES = 2048
 # The vector pass takes each library transcendental (exp, expm1, log and
 # pow, of math and of numpy alike) within this many ulp of its exact value;
@@ -224,18 +226,6 @@ def _block_divergences(p_parts, q_logs, atoms, alphas):
         np.abs(m, out=m)
         out[1, j] = _EPS * ((spread + 2.0 * m) / abs(alpha - 1.0) + 2.0 * div)
     return out
-
-
-def _plain_ratio_range(alpha: float, den: float) -> tuple[float, float]:
-    """Bounds on a vector ratio num / den inside which num, the ratio and
-    its 1/alpha-th root all lie inside _PLAIN_RANGE with a factor 2 to
-    spare (the vector num and root are within a few eps of ratio * den and
-    ratio ** (1 / alpha)); empty where den overflowed."""
-    lo, hi = _PLAIN_RANGE
-    if math.isinf(den):
-        return 1.0, 0.0
-    return (max(lo, 2.0 * lo / abs(den), 2.0 ** (-959.0 * alpha)),
-            min(hi, hi / (2.0 * abs(den)), 2.0 ** min(959.0 * alpha, 960.0)))
 
 
 def _block_excess(dv, h, power_sum, p, log_keep, log_ratio, den, r_lo, r_hi, alpha):
@@ -314,15 +304,11 @@ def _sweep_outcome_count(k: int, d: int, orders, tally: _Tally) -> None:
     bound that is 0 only by rounding) has an infinite band, so it comes at
     the same first instance with the same message.
     """
-    mask_bits = [[i for i in range(k) if m >> i & 1] for m in range(1, 2 ** k - 1)]
-    q_list = list(_compositions(d, k, 1))
-    q_vecs = [[a / d for a in q_parts] for q_parts in q_list]
-    # one (Q index, event index, tag, p_min, p_max) per window, in loop order
-    windows = [(qi, mi) + window for qi, q_vec in enumerate(q_vecs)
-               for mi, bits in enumerate(mask_bits)
-               for window in _windows(math.fsum(q_vec[i] for i in bits))]
+    q_grid, mask_bits, windows = _event_windows(k, d)
     if not windows:
         return
+    q_list = q_grid.tolist()
+    q_vecs = [[a / d for a in q_parts] for q_parts in q_list]
     alphas = [alpha for _, alpha in orders]
     n_orders, n_windows = len(orders), len(windows)
     w_q = np.array([w[0] for w in windows])
@@ -332,19 +318,23 @@ def _sweep_outcome_count(k: int, d: int, orders, tally: _Tally) -> None:
     # _window_terms; orders as (order, 1, 1)
     distinct: dict = {}
     w_index = [distinct.setdefault(w[3:], len(distinct)) for w in windows]
-    w_terms = [[_window_terms(p_min, p_max, alpha) for p_min, p_max in distinct]
-               for alpha in alphas]
-    w_ranges = np.array([[_plain_ratio_range(alpha, t[2]) for t in row]
-                         for alpha, row in zip(alphas[1:], w_terms[1:])])
-    w_ranges = w_ranges.reshape(n_orders - 1, len(distinct), 2)[:, None, w_index]
-    w_terms = np.array(w_terms)[:, None, w_index]
+    w_terms = np.array([[_window_terms(p_min, p_max, alpha) for p_min, p_max in distinct]
+                        for alpha in alphas])[:, None, w_index]
     log_keep, log_ratio, den = w_terms[..., 0], w_terms[0, 0, :, 1], w_terms[1:, ..., 2]
-    r_lo, r_hi = w_ranges[..., 0], w_ranges[..., 1]
     order_alphas = np.array(alphas[1:], dtype=float).reshape(-1, 1, 1)
+    # the plain ratios num / den: num, the ratio and its 1/alpha-th root all
+    # lie inside _PLAIN_RANGE with a factor 2 to spare (the vector num and
+    # root are within a few eps of ratio * den and ratio ** (1 / alpha));
+    # none where den overflowed
+    lo, hi = _PLAIN_RANGE
+    r_lo = np.maximum(np.maximum(lo, 2.0 * lo / np.abs(den)), 2.0 ** (-959.0 * order_alphas))
+    r_hi = np.minimum(np.minimum(hi, hi / (2.0 * np.abs(den))),
+                      2.0 ** np.minimum(959.0 * order_alphas, 960.0))
 
     # event terms of each distinct P(E): h per order, then the power-sum
     # factor per order alpha
-    p_list = list(_compositions(d, k, 0))
+    p_array = _types(k, d)
+    p_list = p_array.tolist()
     p_vecs = [[a / d for a in p_parts] for p_parts in p_list]
     p_events = [[math.fsum(p_vec[i] for i in bits) for bits in mask_bits]
                 for p_vec in p_vecs]
@@ -358,27 +348,22 @@ def _sweep_outcome_count(k: int, d: int, orders, tally: _Tally) -> None:
 
     logs = [math.log(a / d) for a in range(1, d + 1)]
     atom_table = np.array([[0.0] + logs, [-math.inf] + logs, [a / d for a in range(d + 1)]])
-    p_array = np.array(p_list)
-    q_logs = atom_table[0][np.array(q_list)]
-    # a block holds `step` whole P rows, or one row in runs of `w_step`
-    # windows where a row alone passes twice the budget; a divergence block
-    # holds a multiple of `step` rows, about as many (P, Q, atom) entries as
-    # a block has instances
+    q_logs = atom_table[0][q_grid]
+    # a block holds `step` whole P rows; a divergence block holds a multiple
+    # of `step` rows, about as many (P, Q, atom) entries as a block has
+    # instances
     step = max(1, _BLOCK_INSTANCES // (n_windows * n_orders))
-    w_step = min(n_windows, max(1, 2 * _BLOCK_INSTANCES // n_orders))
     div_rows = step * max(1, _BLOCK_INSTANCES // (len(q_list) * k) // step)
     tolerance = tally.tolerance
     for d0 in range(0, len(p_list), div_rows):
         dv = _block_divergences(p_array[d0:d0 + div_rows], q_logs, atom_table, alphas)
-        for r0, w0 in itertools.product(range(d0, min(d0 + div_rows, len(p_list)), step),
-                                        range(0, n_windows, w_step)):
-            rows, ws = slice(r0, r0 + step), slice(w0, w0 + w_step)
-            terms = np.take(e_table, np.take(e_index[rows], w_m[ws], axis=1), axis=1)
+        for r0 in range(d0, min(d0 + div_rows, len(p_list)), step):
+            rows = slice(r0, r0 + step)
+            terms = np.take(e_table, np.take(e_index[rows], w_m, axis=1), axis=1)
             vector_excess, band = _block_excess(
-                np.take(dv[:, :, r0 - d0:r0 - d0 + step], w_q[ws], axis=-1),
-                terms[:n_orders], terms[n_orders:], np.take(e_values[rows], w_m[ws], axis=1),
-                log_keep[..., ws], log_ratio[ws], den[..., ws], r_lo[..., ws], r_hi[..., ws],
-                order_alphas)
+                np.take(dv[:, :, r0 - d0:r0 - d0 + step], w_q, axis=-1),
+                terms[:n_orders], terms[n_orders:], np.take(e_values[rows], w_m, axis=1),
+                log_keep, log_ratio, den, r_lo, r_hi, order_alphas)
             tally.instances += vector_excess.size
             lower, upper = vector_excess - band, vector_excess + band
             threshold = max(tally.max_excess, float(lower.max()))
@@ -387,8 +372,8 @@ def _sweep_outcome_count(k: int, d: int, orders, tally: _Tally) -> None:
             js, rests = np.divmod(np.flatnonzero(rescan), vector_excess[0].size)
             divs: dict = {}
             for rest, j in sorted(zip(rests.tolist(), js.tolist())):
-                row, w = divmod(rest, vector_excess.shape[-1])
-                row, w = row + r0, w + w0
+                row, w = divmod(rest, n_windows)
+                row += r0
                 qi, mi, tag, p_min, p_max = windows[w]
                 alpha_key, alpha = orders[j]
                 div = divs.get((row, qi, j))

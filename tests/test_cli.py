@@ -269,6 +269,31 @@ class TestErrors:
         assert main(["sweep", "--k", "0"]) == 2
         assert capsys.readouterr().err.startswith("error: outcome_counts: ")
 
+    def test_abs_on_vector_labels_names_the_metric(self, capsys):
+        labels = [[0, 0], [1, 1]]
+        exp = {"prior": {"outcomes": labels, "weights": [0.5, 0.5]},
+               "channel": {"inputs": labels, "outputs": [0, 1],
+                           "rows": [[0.9, 0.1], [0.2, 0.8]]},
+               "estimator": {"kind": "ml"},
+               "relation": {"kind": "distance", "metric": "abs", "t": 0.5}}
+        assert main(["certify", json.dumps(exp)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: metric: 'abs' needs scalar labels, got ")
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--k", "2", "--denominator", "2"],
+        ["bound", '{"kind": "kl", "divergence": 0.5, "p_min": 0, "p_max": 0.1, "p": 0.05}'],
+        ["certify", json.dumps(TestCertify.EXPERIMENT)],
+    ], ids=lambda argv: argv[0])
+    def test_a_nan_tolerance_is_refused_and_inf_is_not(self, argv, capsys):
+        # NaN compares false with everything, so it would pass or fail
+        # every check; an infinite tolerance is a deliberate choice
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--tolerance", "nan"])
+        assert exc.value.code == 2
+        assert "argument --tolerance: tolerance: " in capsys.readouterr().err
+        assert main(argv + ["--tolerance", "inf"]) == 0
+
     def test_window_errors_surface_as_usage_errors(self):
         code, _, err = run_cli(
             "bound", '{"divergence": 0.1, "p_min": 0.5, "p_max": 0.5, "p": 0.5}'

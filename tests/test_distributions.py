@@ -62,6 +62,10 @@ class TestFiniteDistribution:
         with pytest.raises(Exception):
             FiniteDistribution((), ())
 
+    def test_the_label_index_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            FiniteDistribution((0, 1), (0.5, 0.5), {0: 1, 1: 0})
+
     def test_weights_are_read_only(self):
         d = FiniteDistribution((0, 1), (0.5, 0.5))
         with pytest.raises(ValueError):

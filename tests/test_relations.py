@@ -62,6 +62,11 @@ class TestMetrics:
         with pytest.raises(FanoError):
             metric_from_name("l2")((0.0,), (1.0, 2.0))
 
+    def test_abs_is_l1_on_scalar_labels_only(self):
+        assert metric_from_name("abs")((2,), 5.5) == metric_from_name("l1")(2, 5.5) == 3.5
+        with pytest.raises(FanoError, match="^metric: 'abs' needs scalar labels, got "):
+            metric_from_name("abs")((0, 0), (1, 1))
+
     def test_table_metric_is_symmetric_with_zero_diagonal(self):
         rho = table_metric([("a", "b", 1.0), ("a", "c", 2.0)])
         assert rho("b", "a") == 1.0

@@ -1,4 +1,5 @@
 """Self-check machinery: grid sweeps, support bounds, limit tables."""
+import itertools
 import math
 import sys
 import tracemalloc
@@ -21,7 +22,7 @@ from fanokit.errors import BadPminPmax, FanoError, GridTooLarge, NumericalInstab
 from fanokit.bounds import _kl_rhs_nats, _refuse_rounded_zero, _renyi_rhs_nats
 from fanokit.divergences import _kl_nats, _renyi_nats
 from fanokit import verify
-from fanokit.verify import _compositions, _planned_instances
+from fanokit.verify import _planned_instances
 
 
 def reference_id(k, p_parts, q_parts, mask, tag, alpha_key):
@@ -41,9 +42,11 @@ def sweep_reference(spec):
     for k in sorted(spec.outcome_counts):
         masks = [m for m in range(1, 2 ** k - 1)]
         mask_bits = {m: [i for i in range(k) if m >> i & 1] for m in masks}
-        for p_parts in _compositions(d, k, 0):
+        # every count vector of d, in lexicographic order; Q's have no zero
+        grid = [c for c in itertools.product(range(d + 1), repeat=k) if sum(c) == d]
+        for p_parts in grid:
             p_vec = [a / d for a in p_parts]
-            for q_parts in _compositions(d, k, 1):
+            for q_parts in (c for c in grid if min(c) > 0):
                 q_vec = [a / d for a in q_parts]
                 atoms = list(zip(p_vec, q_vec))
                 divs = [("kl", None, _kl_nats(atoms))]
@@ -163,7 +166,7 @@ class TestSweep:
            tolerance=st.one_of(st.just(1e-9), st.floats(-1.0, 0.0)),
            block=st.sampled_from([verify._BLOCK_INSTANCES, 16, 128]))
     # an order near 1, where the divergence's rounding weighs most,
-    # excesses exactly at the tolerance, and rows split into runs of windows
+    # excesses exactly at the tolerance, and blocks of one row
     @example(counts=[3], d=7, alphas=(0.96875,), more=[], tolerance=1e-9,
              block=verify._BLOCK_INSTANCES)
     @example(counts=[3], d=3, alphas=(0.5, 2.0), more=[], tolerance=-1.0,
@@ -174,7 +177,7 @@ class TestSweep:
         # negative tolerances count violations, and ties in the excess
         # (exact zeros above all) exercise the first-max rule; large orders
         # reach the bounds that are 0 only by rounding, which both refuse.
-        # Small blocks split rows into runs of windows.
+        # Small blocks hold one row each.
         spec = SweepSpec(outcome_counts=tuple(counts), weight_grid_denominator=d,
                          alphas=alphas + tuple(more), tolerance=tolerance)
         want = outcome(lambda: sweep_reference(spec))
@@ -202,8 +205,30 @@ class TestSweep:
         assert 0 < rhs_calls < 0.01 * s.instances
         assert len(calls) - rhs_calls <= rhs_calls
 
+    def test_a_nan_tolerance_is_refused(self):
+        # every comparison with NaN is false: the sweep would pass everything
+        with pytest.raises(FanoError, match="^tolerance: "):
+            sweep_diffusion(SweepSpec(outcome_counts=(2,), weight_grid_denominator=4,
+                                      tolerance=math.nan))
+
+    def test_the_largest_rows_at_k4_run_whole_in_a_few_megabytes(self):
+        # 2,520 windows (120 Q x 14 events, 840 tight windows among them)
+        # x 5 orders = 12,600 instances per P row, each row one block: the
+        # largest rows at k = 4 under the cap
+        spec = SweepSpec(outcome_counts=(4,), weight_grid_denominator=11)
+        tracemalloc.start()
+        try:
+            s = sweep_diffusion(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.instances == _planned_instances(spec) == 4_586_400
+        assert s.violations == 0
+        assert peak <= 4_000_000
+
     def test_one_sweep_holds_under_a_megabyte(self):
-        # the blocks bound the working set, whatever the grid
+        # on the default grid a block holds whole P rows of at most 3,480
+        # instances
         sweep_diffusion(SweepSpec())
         tracemalloc.start()
         try:
@@ -232,7 +257,7 @@ class TestSweep:
         with pytest.raises(FanoError, match="^outcome_counts: "):
             sweep_diffusion(SweepSpec(outcome_counts=counts, weight_grid_denominator=4))
 
-    @pytest.mark.parametrize("alpha", [1.0, 0.0, math.inf, -2.0])
+    @pytest.mark.parametrize("alpha", [1.0, 0.0, math.inf, -2.0, math.nan])
     def test_unusable_orders_are_refused(self, alpha):
         with pytest.raises(NumericalInstability):
             sweep_diffusion(SweepSpec(outcome_counts=(2,),
