@@ -22,7 +22,12 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .distributions import JointDistribution, event_probability, product_of_marginals
+from .distributions import (
+    MASS_TOLERANCE,
+    JointDistribution,
+    event_probability,
+    product_of_marginals,
+)
 from .divergences import (
     KL_ALPHA_BAND,
     _binary_entropy_nats,
@@ -522,10 +527,18 @@ def _default_bounds(joint: JointDistribution, rel: Relation) -> RelationBounds:
 
 
 def _window_consistency(joint: JointDistribution, rel: Relation,
-                        p_min: float, p_max: float, tolerance: float) -> float:
-    """Check the independent coupling puts the event inside [p_min, p_max]."""
+                        p_min: float, p_max: float) -> float:
+    """Check the independent coupling puts the event inside [p_min, p_max].
+
+    A window of exact masses holds the exact coupling mass. The computed
+    q_rel strays from it by the rounding of its products and of their fsum,
+    within 2 eps q_rel, and by how far the joint's marginals stray from the
+    distribution the window came from: each is a distribution only to
+    MASS_TOLERANCE, which MASS_TOLERANCE p_max allows for. The slack is
+    their sum, whatever the pass/fail tolerance."""
     q_rel = event_probability(product_of_marginals(joint), rel)
-    if q_rel < p_min - tolerance or q_rel > p_max + tolerance:
+    slack = MASS_TOLERANCE * p_max + 2.0 * sys.float_info.epsilon * q_rel
+    if q_rel < p_min - slack or q_rel > p_max + slack:
         raise InconsistentBounds(
             f"bounds: product-coupling event mass {q_rel!r} falls outside "
             f"[p_min, p_max] = [{p_min!r}, {p_max!r}]"
@@ -548,7 +561,7 @@ def fano_relation_bound(joint: JointDistribution, rel: Relation,
     if bounds is None:
         bounds = _default_bounds(joint, rel)
     p_min, p_max = _check_window(bounds.p_min, bounds.p_max)
-    _window_consistency(joint, rel, p_min, p_max, tolerance)
+    _window_consistency(joint, rel, p_min, p_max)
     p_rel = event_probability(joint, rel)
     mi_nats = mutual_information(joint)
     rhs = _kl_rhs_nats(mi_nats, p_rel, p_min, p_max)
@@ -556,7 +569,9 @@ def fano_relation_bound(joint: JointDistribution, rel: Relation,
     notes = ""
     if observation_mi is not None:
         obs_nats = float(observation_mi) * ln_b
-        if obs_nats < mi_nats - tolerance:
+        # equality is data processing's tight case (an estimator that is a
+        # bijection of the observations): a negative tolerance must not refuse it
+        if obs_nats < mi_nats - max(tolerance, 0.0):
             raise InconsistentBounds(
                 f"observation_mi: {observation_mi!r} is below the "
                 "reconstruction mutual information; violates data processing"

@@ -416,12 +416,15 @@ def independent_samples_bound(prior: FiniteDistribution, channel: Channel,
     summary = enumerate_chain(Experiment(prior=prior, channel=channel, n_samples=n,
                                          estimator=estimator, relation=rel))
     i1, beta = summary.mi_y1, summary.beta
-    if summary.mi_xy > n * i1 + tolerance:
+    # the chain inequalities are tight at n = 1 and on noiseless channels:
+    # a negative pass/fail tolerance must not refuse their equality
+    slack = max(tolerance, 0.0)
+    if summary.mi_xy > n * i1 + slack:
         raise InconsistentBounds(
             "chain: observation mutual information exceeds n times the "
             "single-use value; additivity violated"
         )
-    if i1 > beta + tolerance:
+    if i1 > beta + slack:
         raise InconsistentBounds(
             "chain: single-use mutual information exceeds the worst-case "
             "pairwise divergence"
@@ -433,7 +436,7 @@ def independent_samples_bound(prior: FiniteDistribution, channel: Channel,
     rhs_i = _bounds._kl_rhs_nats(n * i1, p_rel, p_min, p_max)
     rhs_beta = (math.inf if math.isinf(beta)
                 else _bounds._kl_rhs_nats(n * beta, p_rel, p_min, p_max))
-    if rhs_i > rhs_beta + tolerance:
+    if rhs_i > rhs_beta + slack:
         raise InconsistentBounds(
             "chain: per-sample bound exceeds the worst-case-divergence bound"
         )

@@ -6,16 +6,19 @@ checks the diffusion bounds through the same evaluators the library exposes.
 A violation is a signed excess (observed - bound) above tolerance, in nats.
 
 The grids are count vectors from the type enumerator: P on every vector of
-the denominator, Q on those with no zero part. The verdict is computed in
-two passes that give the scalar loop's bytes. A vector pass evaluates every
-instance's divergence, exponent and bound as numpy arrays, in blocks of
-whole P rows, with a proven band around each excess: the distance the
-scalar kernels' double can lie from it (_block_excess). The scalar kernels
-then re-evaluate, in loop order, the instances whose band reaches the
-tolerance or the running maximum, and every instance off the plain branch
-of the bound, where every error is raised (_sweep_outcome_count). The rest
-keep their vector verdict. A block holds at least one row, so the peak
-memory grows with a row's windows times its orders.
+the denominator, Q on those with no zero part. Each k's grids, event masses
+(one fsum per distinct multiset of parts) and windows are built once
+(_event_tables). The verdict is computed in two passes that give the scalar
+loop's bytes. A vector pass evaluates every instance's divergence, exponent
+and bound as numpy arrays, in blocks of whole P rows, with a proven band
+around each excess: the distance the scalar kernels' double can lie from it
+(_block_excess). The scalar kernels then re-evaluate, in loop order, the
+instances whose band reaches the tolerance or the running maximum, and
+every instance off the plain branch of the bound, where every error is
+raised (_sweep_outcome_count). The rest keep their vector verdict. A block
+holds about 8,192 instances, or one row where a row alone holds more, in
+four doubles and two flags per instance reused from block to block, so the
+peak memory grows with a row's windows times its orders.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -83,10 +86,12 @@ def _windows(q_event: float) -> tuple:
     return (("tight", q_event, q_event), slack) if q_event + q_event < 1.0 else (slack,)
 
 
-def _planned_instances(spec: SweepSpec) -> int:
+def _planned_instances(spec: SweepSpec, tables: dict | None = None) -> int:
     """Instances the sweep runs; once past the cap, the count so far: a
-    lower bound."""
+    lower bound. tables, when given, keeps each k's _event_tables for the
+    sweep to reuse."""
     d = spec.weight_grid_denominator
+    tables = {} if tables is None else tables
     total = 0
     for k in spec.outcome_counts:
         per_window = math.comb(d + k - 1, k - 1) * (len(spec.alphas) + 1)
@@ -94,21 +99,90 @@ def _planned_instances(spec: SweepSpec) -> int:
         slack = per_window * math.comb(d - 1, k - 1) * (2 ** k - 2)
         if total + slack > MAX_SWEEP_INSTANCES:
             return total + slack
-        total += per_window * len(_event_windows(k, d)[2])
+        if k not in tables:
+            tables[k] = _event_tables(k, d)
+        total += per_window * len(tables[k].w_q)
     return total
 
 
-def _event_windows(k: int, d: int) -> tuple:
-    """The full-support Q grid with k outcomes and denominator d (integer
-    parts, one row each), the proper nonempty events as outcome indices (the
-    event at index i has bit mask i + 1) and one (Q index, event index, tag,
-    p_min, p_max) per window, in loop order."""
-    q_grid = _types(k, d - k) + 1 if d >= k else np.empty((0, k), dtype=np.intp)
-    events = [[i for i in range(k) if m >> i & 1] for m in range(1, 2 ** k - 1)]
-    windows = [(qi, mi) + window for qi, q_parts in enumerate(q_grid.tolist())
-               for mi, bits in enumerate(events)
-               for window in _windows(math.fsum(q_parts[i] / d for i in bits))]
-    return q_grid, events, windows
+def _numbered(keys: np.ndarray, size: int) -> tuple:
+    """The distinct keys (integers below size), ascending, and each key's
+    rank among them."""
+    number = np.zeros(size, dtype=np.intp)
+    number[keys] = 1
+    distinct = np.flatnonzero(number)
+    number[distinct] = np.arange(len(distinct))
+    return distinct, number[keys]
+
+
+def _event_masses(parts: np.ndarray, members: np.ndarray, d: int) -> tuple:
+    """(masses, index): the mass math.fsum(parts[r, i] / d for i in E) of
+    event E (row e of the 0/1 (event, outcome) matrix members) under row r
+    of integer parts is masses[index[r, e]].
+
+    fsum rounds correctly, so a mass depends only on the multiset of E's
+    parts: one fsum per distinct multiset. A network of elementwise min and
+    max puts each event's parts (0 outside E, where they add nothing) in
+    order, as the digits of a base-(d + 1) code. A proper event leaves a 0
+    first, so the codes lie below (d + 1)^(k - 1): at most 9^7 (k = d = 8)
+    where the plan admits the P grid."""
+    k = parts.shape[1]
+    column = list(np.moveaxis(parts[:, None, :] * members, -1, 0))
+    for end in range(k - 1, 0, -1):
+        for i in range(end):
+            column[i], column[i + 1] = (np.minimum(column[i], column[i + 1]),
+                                        np.maximum(column[i], column[i + 1]))
+    code = np.zeros(column[0].shape, dtype=np.intp)
+    for part in column:
+        code *= d + 1
+        code += part
+    codes, index = _numbered(code, (d + 1) ** (k - 1))
+    masses = np.array([math.fsum(c // (d + 1) ** i % (d + 1) / d for i in range(k))
+                       for c in codes.tolist()])
+    return masses, index
+
+
+class _EventTables(NamedTuple):
+    """The sweep's tables for k outcomes and denominator d."""
+    p_grid: np.ndarray      # every P as integer parts, one row each
+    q_rows: np.ndarray      # the P rows with no zero part: the Q grid
+    members: np.ndarray     # 0/1 (event, outcome); event i has bit mask i + 1
+    masses: np.ndarray      # E's mass under P row r is masses[mass_index[r, e]]
+    mass_index: np.ndarray
+    distinct: list          # the distinct windows (tag, p_min, p_max)
+    w_q: np.ndarray         # per window, in loop order: its Q index,
+    w_m: np.ndarray         # its event index
+    w_d: np.ndarray         # and its distinct window's index
+
+
+def _event_tables(k: int, d: int) -> _EventTables:
+    """The P and Q grids with k outcomes and denominator d, their event
+    masses and every window, in loop order; no windows where no Q has full
+    support (d < k).
+
+    Only numpy kernels that the vector pass runs anyway build them (no sort,
+    unique, searchsorted, shift or integer min), with Python for the rest:
+    each further kernel maps its code into the process, up to 64 KB of
+    resident memory apiece."""
+    members = np.array([[m >> i & 1 for i in range(k)] for m in range(1, 2 ** k - 1)],
+                       dtype=np.intp).reshape(-1, k)
+    p_grid = _types(k, d) if d >= k else np.empty((0, k), dtype=np.intp)
+    masses, mass_index = _event_masses(p_grid, members, d)
+    q_rows = np.array([r for r, parts in enumerate(p_grid.tolist()) if min(parts) > 0],
+                      dtype=np.intp)
+    # each distinct Q(E)'s windows, one after another in `distinct`
+    used, index = _numbered(mass_index[q_rows], len(masses))
+    per_mass = [_windows(q_event) for q_event in masses[used].tolist()]
+    distinct = [window for windows in per_mass for window in windows]
+    counts = np.array([len(windows) for windows in per_mass], dtype=np.intp)
+    first = np.cumsum(counts) - counts
+    pair_counts = counts[index].ravel()
+    pair = np.repeat(np.arange(pair_counts.size), pair_counts)
+    # a window's rank among its (Q, event) pair's
+    rank = np.arange(pair.size) - np.repeat(np.cumsum(pair_counts) - pair_counts, pair_counts)
+    w_q, w_m = np.divmod(pair, len(members))
+    return _EventTables(p_grid, q_rows, members, masses, mass_index, distinct,
+                        w_q, w_m, first[index.ravel()[pair]] + rank)
 
 
 def _instance_id(k: int, p_parts, q_parts, mask: int, tag: str, alpha_key) -> str:
@@ -132,7 +206,8 @@ def sweep_diffusion(spec: SweepSpec) -> SweepSummary:
     if any(k < 1 for k in spec.outcome_counts):
         raise FanoError(
             f"outcome_counts: every count must be >= 1, got {spec.outcome_counts!r}")
-    planned = _planned_instances(spec)
+    tables: dict = {}
+    planned = _planned_instances(spec, tables)
     if planned > MAX_SWEEP_INSTANCES:
         raise GridTooLarge(
             f"sweep: at least {planned} planned instances exceed the cap {MAX_SWEEP_INSTANCES}"
@@ -150,7 +225,7 @@ def sweep_diffusion(spec: SweepSpec) -> SweepSummary:
     tally = _Tally(spec.tolerance)
     orders = (("kl", None),) + tuple((a, a) for a in spec.alphas)
     for k in sorted(spec.outcome_counts):
-        _sweep_outcome_count(k, d, orders, tally)
+        _sweep_outcome_count(k, d, orders, tally, tables[k])
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return SweepSummary(
         instances=tally.instances,
@@ -163,7 +238,7 @@ def sweep_diffusion(spec: SweepSpec) -> SweepSummary:
 
 # Instances per numpy block: whole P rows up to this many, or one row where
 # it alone holds more.
-_BLOCK_INSTANCES = 2048
+_BLOCK_INSTANCES = 8192
 # The vector pass takes each library transcendental (exp, expm1, log and
 # pow, of math and of numpy alike) within this many ulp of its exact value;
 # the worst seen against mpmath on this repository's inputs is 0.82, and
@@ -228,10 +303,15 @@ def _block_divergences(p_parts, q_logs, atoms, alphas):
     return out
 
 
-def _block_excess(dv, h, power_sum, p, log_keep, log_ratio, den, r_lo, r_hi, alpha):
-    """Excess p - bound of a block of instances as arrays (order, P, window),
-    KL first, and a band the scalar kernels' excess lies within: inf where
-    the instance must go to the scalar kernels (its vector excess is then 0).
+def _block_excess(dv, h, p, window, order, band, flags) -> None:
+    """Excess p - bound of a block of instances into dv[1] (order, P,
+    window), KL first, and into band the distance the scalar kernels'
+    excess lies within: inf where the instance must go to the scalar
+    kernels (its vector excess is then 0). dv holds the divergences and
+    their error bounds, h the event terms, band[1:] the power-sum factor of
+    each order alpha, all gathered to the instances and all overwritten; p
+    is P(E) per (P, window); window and order are _sweep_outcome_count's
+    per-window and per-order constants; flags is scratch.
 
     The exponent a = div + h + ln(1 - p_min) is summed as the kernels sum
     it, so the vector a is within delta of theirs: the divergence's error
@@ -247,141 +327,195 @@ def _block_excess(dv, h, power_sum, p, log_keep, log_ratio, den, r_lo, r_hi, alp
     (r_lo, r_hi); every other one goes to the scalar kernels, and with it
     every branch off the plain ratio ** (1 / alpha) and every raise.
     """
-    div, err = dv
-    a = div + h
-    delta = np.abs(log_keep) + a
+    log_keep, abs_log_keep, log_ratio, den, r_lo, r_hi = window
+    alpha_less_1, root, log_slope, x_slope, roundings, reach = order
+    a, excess = dv
+    a += h
+    delta = np.add(abs_log_keep, a, out=h)
     delta *= 4.0 * _EPS
-    delta += err            # twice: 2 err
-    delta += err
+    delta += excess         # twice: 2 err, the divergences' error bounds
+    delta += excess
     a += log_keep
-    excess = np.empty_like(a)
-    spread = np.empty_like(a)           # twice the bound's distance from the kernels'
-    rhs = a[0] / log_ratio
-    np.subtract(p, rhs, out=excess[0])
-    np.divide(delta[0], log_ratio, out=spread[0])
-    spread[0] += _EPS * np.abs(rhs)
-    spread[0] *= 2.0
-    a, delta = a[1:], delta[1:]
-    t_ulps = TRANSCENDENTAL_ULPS
+    rhs = np.divide(a[0], log_ratio, out=excess[0])
+    np.divide(delta[0], log_ratio, out=band[0])     # twice the bound's distance from the kernels'
+    np.abs(rhs, out=a[0])
+    a[0] *= _EPS
+    band[0] += a[0]
+    band[0] *= 2.0
+    np.subtract(p, rhs, out=rhs)
+    a, delta, bound, X = a[1:], delta[1:], excess[1:], band[1:]
+    plain, test = flags[:, 1:]
     with np.errstate(all="ignore"):
-        x = (alpha - 1.0) * a
-        bound = np.expm1(x)
-        bound *= power_sum
+        np.multiply(alpha_less_1, a, out=bound)
+        np.expm1(bound, out=bound)
+        bound *= X          # the power-sum factors
         bound /= den
-        plain = (r_lo < bound) & (bound < r_hi)
-        bound **= 1.0 / alpha
-        gap = a - delta
-        plain &= gap > delta
+        np.less(r_lo, bound, out=plain)
+        np.less(bound, r_hi, out=test)
+        plain &= test
+        bound **= root
+        gap = np.subtract(a, delta, out=X)
+        np.greater(gap, delta, out=test)
+        plain &= test
         # X = delta (max(alpha - 1, 0) + 1 / gap) / alpha + the roundings
-        X = np.divide(1.0 / alpha, gap, out=gap)
-        X += np.maximum(alpha - 1.0, 0.0) / alpha
+        np.divide(root, gap, out=X)
+        X += log_slope
         X *= delta
+        x = np.multiply(alpha_less_1, a, out=a)     # the exponent of expm1 again
         np.abs(x, out=x)
-        x *= 2.0 * _EPS / alpha
+        x *= x_slope
         X += x
-        X += 2.0 * _EPS * ((t_ulps + 3.0) / alpha + t_ulps)
-        plain &= X <= 1.0 / np.maximum(alpha, 2.0)
+        X += roundings
+        np.less_equal(X, reach, out=test)
+        plain &= test
         X *= bound
-    excess[1:] = np.where(plain, p - bound, 0.0)
-    spread[1:] = np.where(plain, 2.6 * X, np.inf)
+        np.subtract(p, bound, out=bound)
+        X *= 2.6
+        np.logical_not(plain, out=plain)
+        np.copyto(bound, 0.0, where=plain)
+        np.copyto(X, np.inf, where=plain)
     # and the rounding of p - bound on each side; the doubling covers
     # second-order terms
-    spread += 2.0 * _EPS * np.abs(excess)
-    return excess, spread
+    rounding = np.abs(excess, out=dv[0])
+    rounding *= 2.0 * _EPS
+    band += rounding
 
 
-def _sweep_outcome_count(k: int, d: int, orders, tally: _Tally) -> None:
-    """Every instance with k outcomes, in blocks of whole P rows.
+def _sweep_outcome_count(k: int, d: int, orders, tally: _Tally,
+                         tables: _EventTables) -> None:
+    """Every instance with k outcomes, in blocks of whole P rows; tables is
+    _event_tables(k, d).
 
     A block's excesses and bands come from _block_excess. Within its band
     an excess may be the kernels' or not, so the scalar kernels evaluate,
-    in loop order, every instance whose band reaches spec.tolerance or the
-    threshold: the largest of the running maximum and the block's lower
-    ends (excess - band). Instances with an infinite band are among them.
-    The rest keep their vector verdict: below the threshold, none can be a
-    first maximum, and away from the tolerance, their verdict is the
-    kernels'. Every raise (a negative exponent, a sign disagreement, a
-    bound that is 0 only by rounding) has an infinite band, so it comes at
-    the same first instance with the same message.
+    in loop order, every instance whose band reaches spec.tolerance, and
+    every one whose band reaches the threshold (the largest of the running
+    maximum and the block's lower ends, excess - band) unless by its turn
+    the running maximum has passed its band. Instances with an infinite
+    band are among them. The rest keep their vector verdict: below a
+    maximum, none can be a first maximum, and away from the tolerance,
+    their verdict is the kernels'. Every raise (a negative exponent, a sign
+    disagreement, a bound that is 0 only by rounding) has an infinite band,
+    so it comes at the same first instance with the same message.
     """
-    q_grid, mask_bits, windows = _event_windows(k, d)
-    if not windows:
+    p_array, q_rows, members, p_masses, e_index, distinct, w_q, w_m, w_d = tables
+    n_windows = len(w_q)
+    if not n_windows:
         return
+    q_grid = p_array[q_rows]
     q_list = q_grid.tolist()
-    q_vecs = [[a / d for a in q_parts] for q_parts in q_list]
     alphas = [alpha for _, alpha in orders]
-    n_orders, n_windows = len(orders), len(windows)
-    w_q = np.array([w[0] for w in windows])
-    w_m = np.array([w[1] for w in windows])
+    n_orders = len(orders)
 
     # window terms as (order, 1, window) arrays, from each distinct window's
     # _window_terms; orders as (order, 1, 1)
-    distinct: dict = {}
-    w_index = [distinct.setdefault(w[3:], len(distinct)) for w in windows]
-    w_terms = np.array([[_window_terms(p_min, p_max, alpha) for p_min, p_max in distinct]
-                        for alpha in alphas])[:, None, w_index]
-    log_keep, log_ratio, den = w_terms[..., 0], w_terms[0, 0, :, 1], w_terms[1:, ..., 2]
-    order_alphas = np.array(alphas[1:], dtype=float).reshape(-1, 1, 1)
+    w_terms = np.array([[_window_terms(p_min, p_max, alpha) for _, p_min, p_max in distinct]
+                        for alpha in alphas])[:, None]
+    log_keep, log_ratio, den = (w_terms[..., 0][..., w_d], w_terms[0, 0, w_d, 1],
+                                w_terms[1:, ..., 2][..., w_d])
+    alpha = np.array(alphas[1:], dtype=float).reshape(-1, 1, 1)
     # the plain ratios num / den: num, the ratio and its 1/alpha-th root all
     # lie inside _PLAIN_RANGE with a factor 2 to spare (the vector num and
     # root are within a few eps of ratio * den and ratio ** (1 / alpha));
     # none where den overflowed
     lo, hi = _PLAIN_RANGE
-    r_lo = np.maximum(np.maximum(lo, 2.0 * lo / np.abs(den)), 2.0 ** (-959.0 * order_alphas))
+    r_lo = np.maximum(np.maximum(lo, 2.0 * lo / np.abs(den)), 2.0 ** (-959.0 * alpha))
     r_hi = np.minimum(np.minimum(hi, hi / (2.0 * np.abs(den))),
-                      2.0 ** np.minimum(959.0 * order_alphas, 960.0))
+                      2.0 ** np.minimum(959.0 * alpha, 960.0))
+    window = (log_keep, np.abs(log_keep), log_ratio, den, r_lo, r_hi)
+    t_ulps = TRANSCENDENTAL_ULPS
+    order = (alpha - 1.0, 1.0 / alpha, np.maximum(alpha - 1.0, 0.0) / alpha,
+             2.0 * _EPS / alpha, 2.0 * _EPS * ((t_ulps + 3.0) / alpha + t_ulps),
+             1.0 / np.maximum(alpha, 2.0))
 
-    # event terms of each distinct P(E): h per order, then the power-sum
-    # factor per order alpha
-    p_array = _types(k, d)
+    # event terms of each distinct P(E) multiset: h per order, then the
+    # power-sum factor per order alpha
     p_list = p_array.tolist()
-    p_vecs = [[a / d for a in p_parts] for p_parts in p_list]
-    p_events = [[math.fsum(p_vec[i] for i in bits) for bits in mask_bits]
-                for p_vec in p_vecs]
-    distinct = {}
-    e_index = np.array([[distinct.setdefault(p, len(distinct)) for p in row]
-                        for row in p_events])
-    e_terms = [[_event_terms(p, alpha) for p in distinct] for alpha in alphas]
+    p_events = p_masses.tolist()
+    e_rows = e_index.tolist()
+    e_terms = [[_event_terms(p, alpha) for p in p_events] for alpha in alphas]
     e_table = np.array([[t[0] for t in row] for row in e_terms]
                        + [[t[1] for t in row] for row in e_terms[1:]])
-    e_values = np.array(p_events)
 
     logs = [math.log(a / d) for a in range(1, d + 1)]
     atom_table = np.array([[0.0] + logs, [-math.inf] + logs, [a / d for a in range(d + 1)]])
     q_logs = atom_table[0][q_grid]
+    p_vecs, q_vecs = atom_table[2][p_array].tolist(), atom_table[2][q_grid].tolist()
     # a block holds `step` whole P rows; a divergence block holds a multiple
-    # of `step` rows, about as many (P, Q, atom) entries as a block has
-    # instances
-    step = max(1, _BLOCK_INSTANCES // (n_windows * n_orders))
-    div_rows = step * max(1, _BLOCK_INSTANCES // (len(q_list) * k) // step)
+    # of `step` rows, about a quarter as many (P, Q, atom) entries as a
+    # block has instances
+    step = min(len(p_list), max(1, _BLOCK_INSTANCES // (n_windows * n_orders)))
+    div_rows = step * max(1, _BLOCK_INSTANCES // 4 // (len(q_list) * k) // step)
+    # every block's arrays are views of these, reused: four doubles and two
+    # flags per instance, one P(E) and one event index per (P, window)
+    per_order = n_orders * step * n_windows
+    scratch = np.empty(4 * per_order + step * n_windows)
+    flags = np.empty(2 * per_order, dtype=bool)
+    e_block = np.empty(step * n_windows, dtype=np.intp)
+
+    def block_views(rows: int) -> list:
+        """dv, h, band, P(E), flags and event index of a block of `rows`
+        P rows, as views of the scratch arrays."""
+        size = rows * n_windows
+        n = n_orders * size
+        planes = np.split(scratch[:4 * n + size], np.cumsum([2 * n, n, n]))
+        shapes = [(2, n_orders), (n_orders,), (n_orders,), ()]
+        return ([plane.reshape(shape + (rows, n_windows)) for plane, shape in zip(planes, shapes)]
+                + [flags[:2 * n].reshape(2, n_orders, rows, n_windows),
+                   e_block[:size].reshape(rows, n_windows)])
+
+    full_block = block_views(step)
+    w_q_list, w_m_list, w_d_list = w_q.tolist(), w_m.tolist(), w_d.tolist()
     tolerance = tally.tolerance
     for d0 in range(0, len(p_list), div_rows):
         dv = _block_divergences(p_array[d0:d0 + div_rows], q_logs, atom_table, alphas)
         for r0 in range(d0, min(d0 + div_rows, len(p_list)), step):
-            rows = slice(r0, r0 + step)
-            terms = np.take(e_table, np.take(e_index[rows], w_m, axis=1), axis=1)
-            vector_excess, band = _block_excess(
-                np.take(dv[:, :, r0 - d0:r0 - d0 + step], w_q, axis=-1),
-                terms[:n_orders], terms[n_orders:], np.take(e_values[rows], w_m, axis=1),
-                log_keep, log_ratio, den, r_lo, r_hi, order_alphas)
+            rows = min(step, len(p_list) - r0)
+            dv_block, h, band, p_block, block_flags, e_at = (
+                full_block if rows == step else block_views(rows))
+            np.take(dv[:, :, r0 - d0:r0 - d0 + rows], w_q, axis=-1, out=dv_block, mode="clip")
+            np.take(e_index[r0:r0 + rows], w_m, axis=1, out=e_at, mode="clip")
+            np.take(e_table[:n_orders], e_at, axis=1, out=h, mode="clip")
+            np.take(e_table[n_orders:], e_at, axis=1, out=band[1:], mode="clip")
+            np.take(p_masses, e_at, out=p_block, mode="clip")
+            _block_excess(dv_block, h, p_block, window, order, band, block_flags)
+            vector_excess = dv_block[1]
             tally.instances += vector_excess.size
-            lower, upper = vector_excess - band, vector_excess + band
+            lower = np.subtract(vector_excess, band, out=dv_block[0])
+            upper = np.add(vector_excess, band, out=band)
             threshold = max(tally.max_excess, float(lower.max()))
-            rescan = ((lower <= tolerance) & (tolerance <= upper)) | (upper >= threshold)
-            tally.violations += int(np.count_nonzero((vector_excess > tolerance) & ~rescan))
-            js, rests = np.divmod(np.flatnonzero(rescan), vector_excess[0].size)
+            rescan, test = block_flags
+            np.less_equal(lower, tolerance, out=rescan)
+            np.less_equal(tolerance, upper, out=test)
+            rescan &= test
+            np.greater_equal(upper, threshold, out=test)
+            rescan |= test
+            np.greater(vector_excess, tolerance, out=test)
+            tally.violations += int(np.count_nonzero(test))
+            test &= rescan
+            tally.violations -= int(np.count_nonzero(test))
+            flat = np.flatnonzero(rescan)
+            js, rests = np.divmod(flat, p_block.size)
             divs: dict = {}
-            for rest, j in sorted(zip(rests.tolist(), js.tolist())):
+            for rest, j, low, high in sorted(zip(rests.tolist(), js.tolist(),
+                                                 lower.ravel()[flat].tolist(),
+                                                 upper.ravel()[flat].tolist())):
+                if high < tally.max_excess and not low <= tolerance <= high:
+                    # below a maximum found since the threshold was taken,
+                    # and away from the tolerance: the band decides
+                    tally.violations += int(low > tolerance)
+                    continue
                 row, w = divmod(rest, n_windows)
                 row += r0
-                qi, mi, tag, p_min, p_max = windows[w]
+                qi, mi = w_q_list[w], w_m_list[w]
+                tag, p_min, p_max = distinct[w_d_list[w]]
                 alpha_key, alpha = orders[j]
                 div = divs.get((row, qi, j))
                 if div is None:
                     atoms = list(zip(p_vecs[row], q_vecs[qi]))
                     div = divs[row, qi, j] = (_kl_nats(atoms) if alpha is None
                                               else _renyi_nats(atoms, alpha))
-                p_event = p_events[row][mi]
+                p_event = p_events[e_rows[row][mi]]
                 if alpha is None:
                     rhs = _kl_rhs_nats(div, p_event, p_min, p_max)
                 else:
@@ -402,7 +536,7 @@ def _sweep_outcome_count(k: int, d: int, orders, tally: _Tally) -> None:
                         "k": k,
                         "p": p_vecs[row],
                         "q": q_vecs[qi],
-                        "event": mask_bits[mi],
+                        "event": np.flatnonzero(members[mi]).tolist(),
                         "p_min": p_min,
                         "p_max": p_max,
                         "alpha": alpha_key,

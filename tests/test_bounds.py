@@ -346,6 +346,27 @@ class TestRelationBound:
             fano_relation_bound(diag_joint(4), equality_relation(),
                                 bounds=RelationBounds(0.4, 0.5))
 
+    # the uniform 3-symbol chain of the CLI certify tests, n = 1: its
+    # product-coupling mass is 0.33333333333333326, one ulp below the
+    # window [1/3, 1/3] of the prior
+    UNIFORM3 = joint_from_prior_and_channel(
+        FiniteDistribution((0, 1, 2), (1 / 3, 1 / 3, 1 / 3)),
+        Channel((0, 1, 2), (0, 1, 2), [[0.9, 0.05, 0.05], [0.1, 0.8, 0.1], [0.2, 0.2, 0.6]]))
+
+    @pytest.mark.parametrize("tolerance", [1e-9, 0.0, -1e-12, -1.0])
+    def test_a_window_one_ulp_off_is_rounding_at_any_tolerance(self, tolerance):
+        r = fano_relation_bound(self.UNIFORM3, equality_relation(),
+                                bounds=RelationBounds(1 / 3, 1 / 3), tolerance=tolerance)
+        assert (r.p_min, r.p_max) == (1 / 3, 1 / 3)
+
+    @pytest.mark.parametrize("offset", [1e-6, -1e-6])
+    def test_a_window_off_by_a_millionth_is_inconsistent(self, offset):
+        window = RelationBounds(1 / 3 + offset, 1 / 3 + offset)
+        for tolerance in (1e-9, 0.0):
+            with pytest.raises(InconsistentBounds, match="product-coupling"):
+                fano_relation_bound(self.UNIFORM3, equality_relation(), bounds=window,
+                                    tolerance=tolerance)
+
     def test_observation_information_cannot_undercut_reconstruction(self):
         with pytest.raises(InconsistentBounds):
             fano_relation_bound(diag_joint(4), equality_relation(),

@@ -186,6 +186,17 @@ class TestCertify:
         assert lines[0].startswith("instance-id,")
         assert len(lines) >= 5
 
+    @pytest.mark.parametrize("trials", [[], ["--trials", "2000"]], ids=["exact", "mc"])
+    @pytest.mark.parametrize("tolerance, verdict", [("0", 0), ("-1e-12", 0), ("-1", 1)])
+    def test_a_tight_tolerance_gets_a_verdict_not_an_error(self, tolerance, verdict, trials,
+                                                           capsys):
+        # the uniform prior puts the product-coupling mass one ulp outside
+        # its window [1/3, 1/3], and at n = 1 the chain inequalities hold
+        # with equality: rounding, not an inconsistent chain
+        code = main(["certify", json.dumps(self.EXPERIMENT), "--tolerance=" + tolerance]
+                    + trials)
+        assert (code, capsys.readouterr().err) == (verdict, "")
+
 
 class TestSweep:
     def test_json_summary(self, capsys):

@@ -226,6 +226,21 @@ class TestSweep:
         assert s.violations == 0
         assert peak <= 4_000_000
 
+    def test_blocks_of_several_rows_match_the_old_loop_in_under_a_megabyte(self):
+        # 420 windows x 3 orders = 1,260 instances per P row, the benchmark's
+        # largest rows: several to a block
+        spec = SweepSpec(outcome_counts=(4,), weight_grid_denominator=7, alphas=(0.5, 2.0))
+        assert _planned_instances(spec) == 120 * 1_260
+        assert verify._BLOCK_INSTANCES >= 2 * 1_260
+        tracemalloc.start()
+        try:
+            got = summary_tuple(sweep_diffusion(spec))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert repr(got) == repr(sweep_reference(spec))
+        assert peak < 1_000_000
+
     def test_one_sweep_holds_under_a_megabyte(self):
         # on the default grid a block holds whole P rows of at most 3,480
         # instances
@@ -263,6 +278,37 @@ class TestSweep:
             sweep_diffusion(SweepSpec(outcome_counts=(2,),
                                       weight_grid_denominator=4,
                                       alphas=(alpha,)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_event_masses_are_the_per_entry_fsums(k):
+    # one fsum per distinct multiset of parts stands for one per (row,
+    # event); (sum of parts) / d would not: fsum(1/5, 2/5) is
+    # 0.6000000000000001, 3/5 is 0.6
+    events = [[i for i in range(k) if m >> i & 1] for m in range(1, 2 ** k - 1)]
+    for d in range(1, 17):
+        tables = verify._event_tables(k, d)
+        assert tables.members.tolist() == [[int(i in bits) for i in range(k)]
+                                           for bits in events]
+        p_grid = verify._types(k, d).tolist()
+        masses, index = verify._event_masses(np.array(p_grid), tables.members, d)
+        want = [[math.fsum(parts[i] / d for i in bits) for bits in events]
+                for parts in p_grid]
+        assert masses[index].tolist() == want, (k, d)
+        # the sweep's own P(E) table, and Q(E) through every window's p_max;
+        # no windows where no Q has full support
+        q_grid = [parts for parts in p_grid if min(parts) > 0]
+        if d < k:
+            assert not q_grid and not len(tables.w_q)
+            continue
+        assert tables.masses[tables.mass_index].tolist() == want, (k, d)
+        assert tables.p_grid[tables.q_rows].tolist() == q_grid
+        windows = [(qi, mi) + tables.distinct[di]
+                   for qi, mi, di in zip(tables.w_q, tables.w_m, tables.w_d)]
+        assert windows == [
+            (qi, mi) + window for qi, q_parts in enumerate(q_grid)
+            for mi, bits in enumerate(events)
+            for window in verify._windows(math.fsum(q_parts[i] / d for i in bits))]
 
 
 @settings(max_examples=40, deadline=None)
