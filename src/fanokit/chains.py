@@ -29,6 +29,7 @@ from .distributions import (
 )
 from .divergences import (
     _column_fsums,
+    _fsum,
     _kl_nats,
     _ln_base,
     _mi_nats_from_matrix,
@@ -243,7 +244,7 @@ def _resolve_estimator(est, channel: Channel, blocks: np.ndarray):
 
 def _unit_mass(W: np.ndarray) -> np.ndarray:
     """W rescaled to unit total mass where it misses it by rounding alone."""
-    total = math.fsum(W.ravel().tolist())
+    total = _fsum(W)
     return W / total if total != 1.0 and abs(total - 1.0) <= 1e-9 else W
 
 
@@ -297,16 +298,29 @@ def enumerate_chain(exp: Experiment) -> ChainSummary:
     W = _unit_mass(W)
     joint = JointDistribution(exp.prior.outcomes, xhat_labels, W)
     joint1 = joint_from_prior_and_channel(exp.prior, exp.channel)
-    return ChainSummary(
+    return _in_base(ChainSummary(
         joint_xxhat=joint,
         p_rel=event_probability(joint, exp.relation),
-        mi_xy=_scale(_mi_nats_from_matrix(_unit_mass(joint_types)), exp.base),
-        mi_y1=_scale(_mi_nats_from_matrix(np.asarray(joint1.weights)), exp.base),
-        mi_xxhat=_scale(_mi_nats_from_matrix(W), exp.base),
-        h_x_given_xhat=conditional_entropy(joint, exp.base),
-        beta=compute_beta(exp.channel, exp.base),
+        mi_xy=_mi_nats_from_matrix(_unit_mass(joint_types)),
+        mi_y1=_mi_nats_from_matrix(np.asarray(joint1.weights)),
+        mi_xxhat=_mi_nats_from_matrix(W),
+        h_x_given_xhat=conditional_entropy(joint),
+        beta=compute_beta(exp.channel),
         exact=True,
-    )
+    ), exp.base)
+
+
+def _in_base(nats: ChainSummary, base: float) -> ChainSummary:
+    """A summary whose information fields are in nats, in the given base:
+    each field scaled once, so the bits are those of a summary computed in
+    that base (scaling to a base and back does not round-trip)."""
+    if base == math.e:
+        return nats
+    return dataclasses.replace(
+        nats, mi_xy=_scale(nats.mi_xy, base), mi_y1=_scale(nats.mi_y1, base),
+        mi_xxhat=_scale(nats.mi_xxhat, base),
+        h_x_given_xhat=_scale(nats.h_x_given_xhat, base),
+        beta=_scale(nats.beta, base))
 
 
 def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -388,17 +402,17 @@ def simulate_chain(exp: Experiment, trials: int, seed: int = 0) -> ChainSummary:
     joint = JointDistribution(exp.prior.outcomes, xhat_labels, W)
     p_rel = event_probability(joint, exp.relation)
     stderr = math.sqrt(max(p_rel * (1.0 - p_rel), 0.0) / trials)
-    return ChainSummary(
+    return _in_base(ChainSummary(
         joint_xxhat=joint,
         p_rel=p_rel,
-        mi_xy=_scale(_mi_nats_from_matrix(joint_with_x(block_of, len(blocks))), exp.base),
-        mi_y1=_scale(_mi_nats_from_matrix(joint_with_x(y[:, 0], m)), exp.base),
-        mi_xxhat=_scale(_mi_nats_from_matrix(W), exp.base),
-        h_x_given_xhat=conditional_entropy(joint, exp.base),
-        beta=compute_beta(exp.channel, exp.base),
+        mi_xy=_mi_nats_from_matrix(joint_with_x(block_of, len(blocks))),
+        mi_y1=_mi_nats_from_matrix(joint_with_x(y[:, 0], m)),
+        mi_xxhat=_mi_nats_from_matrix(W),
+        h_x_given_xhat=conditional_entropy(joint),
+        beta=compute_beta(exp.channel),
         exact=False,
         mc_stderr=stderr,
-    )
+    ), exp.base)
 
 
 def independent_samples_bound(prior: FiniteDistribution, channel: Channel,
@@ -411,10 +425,20 @@ def independent_samples_bound(prior: FiniteDistribution, channel: Channel,
     The divergence budget is n times the single-use mutual information, with
     the worst-case pairwise channel divergence n * beta as the weaker, model-
     only fallback (recorded in notes). The chain inequality
-    I(X;Y^n) <= n * I(X;Y_1) <= n * beta is asserted on the exact chain.
+    I(X;Y^n) <= n * I(X;Y_1) <= n * beta is asserted on the exact chain,
+    which this call enumerates (certify hands over the summary it has).
     """
     summary = enumerate_chain(Experiment(prior=prior, channel=channel, n_samples=n,
                                          estimator=estimator, relation=rel))
+    if bounds is None:
+        bounds = relation_bounds(rel, prior, summary.joint_xxhat.col_outcomes)
+    return _samples_mi_report(summary, n, bounds, base, tolerance)
+
+
+def _samples_mi_report(summary: ChainSummary, n: int, bounds: RelationBounds,
+                       base: float, tolerance: float) -> _bounds.BoundReport:
+    """independent_samples_bound's report from the exact chain's summary,
+    whose information fields must be in nats."""
     i1, beta = summary.mi_y1, summary.beta
     # the chain inequalities are tight at n = 1 and on noiseless channels:
     # a negative pass/fail tolerance must not refuse their equality
@@ -429,8 +453,6 @@ def independent_samples_bound(prior: FiniteDistribution, channel: Channel,
             "chain: single-use mutual information exceeds the worst-case "
             "pairwise divergence"
         )
-    if bounds is None:
-        bounds = relation_bounds(rel, prior, summary.joint_xxhat.col_outcomes)
     p_min, p_max = _bounds._check_window(bounds.p_min, bounds.p_max)
     p_rel = summary.p_rel
     rhs_i = _bounds._kl_rhs_nats(n * i1, p_rel, p_min, p_max)
@@ -467,11 +489,13 @@ def certify(exp: Experiment, trials: int | None = None, seed: int = 0,
     """
     if trials is None:
         try:
-            summary = enumerate_chain(exp)
+            # one enumeration, in nats, for the samples bound as well
+            nats = enumerate_chain(dataclasses.replace(exp, base=math.e))
         except StateSpaceTooLarge as exc:
             raise StateSpaceTooLarge(
                 f"{exc}; rerun with trials set to use the Monte Carlo path"
             ) from None
+        summary = _in_base(nats, exp.base)
     else:
         summary = simulate_chain(exp, trials, seed)
 
@@ -509,9 +533,7 @@ def certify(exp: Experiment, trials: int | None = None, seed: int = 0,
             add(kl(summary.mi_xy), "relation-mi-observation")
         # exact chains also assert the chain inequalities; a simulated chain's
         # per-use budget is the model's exact single-use mutual information
-        add(independent_samples_bound(
-                exp.prior, exp.channel, n, exp.estimator, rel, rb, base=base,
-                tolerance=tolerance) if summary.exact else
+        add(_samples_mi_report(nats, n, rb, base, tolerance) if summary.exact else
             kl(n * _scale(_mi_nats_from_matrix(np.asarray(
                 joint_from_prior_and_channel(exp.prior, exp.channel).weights)), base)),
             "samples-mi-per-use")

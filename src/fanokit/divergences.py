@@ -6,8 +6,9 @@ strictly positive mass escaping the support of the second argument gives +inf
 for orders >= 1, and for orders in (0, 1) such atoms simply drop out of the
 power sum. Identical inputs short-circuit to an exact 0.0.
 
-Sum accumulation uses math.fsum; the order-alpha power sum is evaluated in log
-space with a max shift so extreme weight ratios cannot overflow.
+Sums are math.fsum's (over arrays, _column_fsums gives the same bits without
+a Python loop); the order-alpha power sum is evaluated in log space with a max
+shift so extreme weight ratios cannot overflow.
 """
 from __future__ import annotations
 
@@ -24,9 +25,11 @@ from .errors import (
 
 # orders within this band of 1 are routed to the KL limit form
 KL_ALPHA_BAND = 1e-9
-# below this many columns, per-column fsum costs less than _column_fsums'
-# fixed set-up of some 60 numpy calls (Monte Carlo chains sit below it)
+# below this many columns holding fewer than this many entries in all,
+# per-column fsum costs less than _column_fsums' fixed set-up of about ten
+# numpy calls per level of its tree (Monte Carlo chains sit below both)
 FSUM_LOOP_COLUMNS = 128
+FSUM_LOOP_ENTRIES = 2048
 
 
 def _ln_base(base: float) -> float:
@@ -208,31 +211,54 @@ def _two_sum(a, b):
 
 
 def _column_fsums(W: np.ndarray) -> np.ndarray:
-    """math.fsum of every column of W, bit for bit; from FSUM_LOOP_COLUMNS
-    columns on, with no loop over columns.
+    """math.fsum of every column of W, bit for bit, with no loop over
+    entries or columns once W holds FSUM_LOOP_COLUMNS columns or
+    FSUM_LOOP_ENTRIES entries: one home for many short sums and for a few
+    long ones (a long sum is a one-column W).
 
-    Two TwoSum cascades down the rows leave each column's exact sum as
-    total + d + c, where |c| <= 2 lost (the 2 covers the rounding in lost
-    itself) and c = 0 where lost = 0. There fl(total + d) = total is the
-    correctly rounded sum that fsum returns. Elsewhere total still is,
-    unless d + c may reach half a spacing from it; such columns go to
-    math.fsum. Partial sums must be finite.
+    A tree of TwoSums halves the rows level by level (zero rows pad them to
+    a power of two, size): each column's exact sum is s + E, where E is the
+    sum of the column's size - 1 rounding errors e, each exact. Added up in
+    floats, in any order, E comes out as Ehat with |E - Ehat| <= 2 size u A, for
+    A the float sum of |e| and u = 2^-53 (Higham's gamma bound; A is at
+    least 1 - gamma times the exact sum of |e|). The computed 4 size u A is
+    exact but in the subnormals, where it may fall short by half the
+    smallest subnormal; |E - Ehat| is a multiple of that subnormal, so the
+    bound still holds. TwoSum(s, Ehat) = (total, d) puts the exact sum at
+    total + d + (E - Ehat). Where |d| plus the bound stays below half the
+    spacing from total to its neighbour toward 0 (the smaller spacing),
+    total is the nearest double, which is what fsum returns. Other columns,
+    and every total of 0 (spacing 0), go to math.fsum. Partial sums must be
+    finite.
     """
-    if W.shape[1] < FSUM_LOOP_COLUMNS:
+    rows, cols = W.shape
+    if cols < FSUM_LOOP_COLUMNS and W.size < FSUM_LOOP_ENTRIES:
         return np.array([math.fsum(col) for col in W.T.tolist()])
-    s, err, lost = W[0], np.zeros(W.shape[1]), np.zeros(W.shape[1])
-    for row in W[1:]:
-        s, e1 = _two_sum(s, row)
-        err, e2 = _two_sum(err, e1)
-        lost += np.abs(e2)
-    total, d = _two_sum(s, err)
-    j = np.flatnonzero(lost)
-    t, lo, hi = total[j], d[j] - 2.0 * lost[j], d[j] + 2.0 * lost[j]
-    unsure = ((lo <= (np.nextafter(t, -np.inf) - t) / 2)
-              | (hi >= (np.nextafter(t, np.inf) - t) / 2))
-    for k in j[unsure].tolist():
-        total[k] = math.fsum(W[:, k].tolist())
+    size = 1 << max(rows - 1, 0).bit_length()
+    order = "F" if rows > cols else "C"     # a long sum's entries sit together
+    s = W
+    if size != rows:
+        s = np.zeros((size, cols), order=order)
+        s[:rows] = W
+    e = np.empty((size - 1, cols), order=order)
+    done = 0
+    while len(s) > 1:
+        half = len(s) // 2
+        s, e[done:done + half] = _two_sum(s[:half], s[half:])
+        done += half
+    total, d = _two_sum(s[0], e.sum(axis=0))
+    bound = np.abs(e, out=e).sum(axis=0)
+    bound *= 4.0 * size * 2.0 ** -53
+    bound += np.abs(d)
+    unsure = np.flatnonzero(bound >= np.abs(np.nextafter(total, 0.0) - total) / 2)
+    if unsure.size:
+        total[unsure] = [math.fsum(col) for col in W[:, unsure].T.tolist()]
     return total
+
+
+def _fsum(x: np.ndarray) -> float:
+    """math.fsum over all entries of x, bit for bit (see _column_fsums)."""
+    return float(_column_fsums(x.reshape(-1, 1))[0])
 
 
 def _mi_nats_from_matrix(W: np.ndarray) -> float:
@@ -240,7 +266,7 @@ def _mi_nats_from_matrix(W: np.ndarray) -> float:
 
     Rows/columns may carry zero mass; only strictly positive cells contribute.
     """
-    r = np.array([math.fsum(row.tolist()) for row in W])
+    r = _column_fsums(W.T)
     c = _column_fsums(W)
     rows, cols = np.nonzero(W > 0)
     if rows.size == 0:
@@ -248,7 +274,7 @@ def _mi_nats_from_matrix(W: np.ndarray) -> float:
     w = W[rows, cols]
     with np.errstate(divide="ignore"):
         terms = w * (np.log(w) - np.log(r)[rows] - np.log(c)[cols])
-    return max(0.0, math.fsum(terms.tolist()))
+    return max(0.0, _fsum(terms))
 
 
 def mutual_information(joint: JointDistribution, base: float = math.e) -> float:

@@ -10,7 +10,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import bsc, philox
 import fanokit
@@ -30,6 +30,7 @@ from fanokit import (
     enumerate_chain,
     equality_relation,
     DistanceRelation,
+    independent_samples_bound,
     metric_from_name,
     random_experiment,
     simulate_chain,
@@ -704,9 +705,9 @@ class TestSamplesBound:
                 imported += [alias.name for alias in node.names]
         assert imported and not any("chains" in name.split(".") for name in imported)
 
-    def test_an_exact_certify_enumerates_twice_and_computes_beta_twice(self, monkeypatch):
-        # once for certify's own summary and once inside the samples bound,
-        # which reads beta from that summary instead of computing it again
+    def test_an_exact_certify_enumerates_once_and_computes_beta_once(self, monkeypatch):
+        # the samples bound reads certify's own summary (in nats), beta
+        # included, instead of enumerating the chain again
         calls = Counter()
 
         def counting(name, fn):
@@ -719,7 +720,55 @@ class TestSamplesBound:
             monkeypatch.setattr(chains, name, counting(name, getattr(chains, name)))
         ids = [r.instance_id for r in certify(noisy_three())]
         assert "samples-mi-per-use" in ids
-        assert calls == {"enumerate_chain": 2, "compute_beta": 2}
+        assert calls == {"enumerate_chain": 1, "compute_beta": 1}
+
+
+# radius 1 on these labels: balls {0, 1}, {0, 1}, {3} and {6}, so every
+# prior leaves the occupancy window open
+SAMPLES_DISTANCE_LABELS = (0, 1, 3, 6)
+
+
+def samples_chain(seed, nx, ny, n, estimator, relation, base):
+    """Random exact chain with an ML, map or channel estimator."""
+    rng = philox(seed)
+    labels = SAMPLES_DISTANCE_LABELS[:nx] if relation == "distance" else tuple(range(nx))
+    prior = FiniteDistribution(labels, rng.dirichlet(np.ones(nx)))
+    channel = Channel(labels, tuple(range(ny)), rng.dirichlet(np.ones(ny), size=nx))
+    blocks = list(itertools.product(range(ny), repeat=n))
+    if estimator == "ml":
+        est = MLEstimator()
+    elif estimator == "map":
+        est = MapEstimator({b: labels[j] for b, j in
+                            zip(blocks, rng.integers(nx, size=len(blocks)).tolist())}, labels)
+    else:
+        inputs = tuple(range(ny)) if n == 1 else tuple(blocks)
+        est = ChannelEstimator(Channel(inputs, labels,
+                                       rng.dirichlet(np.ones(nx), size=len(inputs))))
+    rel = (DistanceRelation(metric_from_name("abs"), 1.0) if relation == "distance"
+           else equality_relation())
+    return Experiment(prior, channel, est, rel, n_samples=n, base=base)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), nx=st.integers(3, 4), ny=st.integers(2, 3),
+       n=st.integers(1, 6), estimator=st.sampled_from(["ml", "map", "channel"]),
+       relation=st.sampled_from(["equality", "distance"]),
+       base=st.sampled_from([math.e, 2.0, 10.0]))
+@example(seed=5, nx=3, ny=2, n=3, estimator="ml", relation="equality", base=2.0)
+def test_certify_reports_the_samples_bound_of_its_own_chain_bitwise(
+        seed, nx, ny, n, estimator, relation, base):
+    # certify hands its summary, in nats, to the samples bound; a summary in
+    # the experiment's base would move bound_value, slack, feasible_sup and
+    # divergence
+    if relation == "distance":
+        nx = 4
+    exp = samples_chain(seed, nx, ny, n, estimator, relation, base)
+    got = {r.instance_id: r for r in certify(exp)}["samples-mi-per-use"]
+    want = independent_samples_bound(exp.prior, exp.channel, n, exp.estimator,
+                                     exp.relation, base=base)
+    names = [f.name for f in dataclasses.fields(want) if f.name != "instance_id"]
+    assert ([repr(getattr(got, name)) for name in names]
+            == [repr(getattr(want, name)) for name in names])
 
 
 def test_fabricated_summaries_are_rejected():

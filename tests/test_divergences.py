@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import dirichlet_pair
+from conftest import dirichlet_pair, philox
 from fanokit import (
     FiniteDistribution,
     JointDistribution,
@@ -25,6 +25,7 @@ from fanokit import (
 )
 from fanokit.divergences import (
     FSUM_LOOP_COLUMNS,
+    FSUM_LOOP_ENTRIES,
     _binary_entropy_nats,
     _binary_renyi_entropy_nats,
     _column_fsums,
@@ -228,6 +229,52 @@ def test_column_fsums_equal_fsum_bitwise(columns):
     W = np.array(columns, dtype=float).T
     want = np.array([math.fsum(col) for col in columns])
     assert np.array_equal(_column_fsums(W).view(np.int64), want.view(np.int64))
+
+
+def _hard_sums(seed: int, rows: int, cols: int, kind: str) -> np.ndarray:
+    """rows x cols entries whose column sums are hard to round correctly."""
+    rng = philox(seed)
+    size = (rows, cols)
+    if kind == "mixed":          # both signs, 120 binades
+        return rng.normal(size=size) * 2.0 ** rng.integers(-60, 60, size=size)
+    if kind == "cancelling":     # +x and -x shuffled, plus a few small terms
+        x = rng.normal(size=(rows // 2, cols)) * 2.0 ** rng.integers(0, 40, (rows // 2, cols))
+        W = np.concatenate([x, -x, np.zeros((rows % 2, cols))])
+        W[rng.integers(rows, size=3)] += rng.normal(size=(3, cols)) * 2.0 ** -30
+        return rng.permuted(W, axis=0)
+    if kind == "subnormal":      # multiples of the smallest subnormal, a few normals
+        W = rng.integers(-2 ** 40, 2 ** 40, size=size) * 2.0 ** -1074
+        W[rng.integers(rows, size=2)] = rng.normal(size=(2, cols)) * 2.0 ** -1000
+        return W
+    if kind == "tie-broken":     # a + a 2^-53 is a tie, a 2^-106 breaks it: only
+        W = np.zeros(size)       # the fallback rounds it right (when it breaks up)
+        a = rng.choice([-1.0, 1.0], size=cols) * 2.0 ** rng.integers(-60, 60, size=cols)
+        W[:3] = (np.array([[1.0], [2.0 ** -53], [2.0 ** -106]]) * a)[:rows]
+        W[2:3] *= rng.choice([-1.0, 1.0], size=cols)
+        return W
+    # "ties": multiples of 2^-4 moved by an ulp or not; sums land on midpoints
+    W = rng.integers(-64, 65, size=size) / 16.0
+    step = rng.integers(-1, 2, size=size)
+    return np.where(step == 0, W, np.nextafter(W, np.where(step > 0, np.inf, -np.inf)))
+
+
+HARD_KINDS = st.sampled_from(["mixed", "cancelling", "subnormal", "ties", "tie-broken"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), kind=HARD_KINDS, shape=st.one_of(
+    st.tuples(st.integers(10_000, 100_000), st.integers(1, 4)),         # few long sums
+    st.tuples(st.integers(1, 8), st.integers(FSUM_LOOP_COLUMNS, 2_000)),  # many short ones
+))
+@example(seed=3, kind="tie-broken", shape=(2 ** 14 + 3, 3))
+@example(seed=3, kind="tie-broken", shape=(3, 300))
+def test_column_fsums_equal_fsum_bitwise_on_long_and_wide_matrices(seed, kind, shape):
+    assert FSUM_LOOP_ENTRIES <= 10_000      # so every long shape takes the vector path
+    W = _hard_sums(seed, *shape, kind)
+    want = np.array([math.fsum(col) for col in W.T.tolist()])
+    assert np.array_equal(_column_fsums(W).view(np.int64), want.view(np.int64))
+    assert np.array_equal(_column_fsums(np.asfortranarray(W)).view(np.int64),
+                          want.view(np.int64))
 
 
 SWEEP_ORDERS = (0.25, 0.5, 2.0, 4.0)
