@@ -6,22 +6,36 @@ checks the diffusion bounds through the same evaluators the library exposes.
 A violation is a signed excess (observed - bound) above tolerance, in nats.
 
 The grids are count vectors from the type enumerator: P on every vector of
-the denominator, Q on those with no zero part. Each k's grids, event masses
-(one fsum per distinct multiset of parts) and windows are built once
-(_event_tables). The verdict is computed in two passes that give the scalar
-loop's bytes. A vector pass evaluates every instance's divergence, exponent
-and bound as numpy arrays, in blocks of whole P rows, with a proven band
-around each excess: the distance the scalar kernels' double can lie from it
-(_block_excess). The scalar kernels then re-evaluate, in loop order, the
-instances whose band reaches the tolerance or the running maximum, and
-every instance off the plain branch of the bound, where every error is
-raised (_sweep_outcome_count). The rest keep their vector verdict. A block
-holds about 8,192 instances, or one row where a row alone holds more, in
-four doubles and two flags per instance reused from block to block, so the
-peak memory grows with a row's windows times its orders.
+the denominator, Q on those with no zero part. Every kernel the sweep calls
+is bitwise invariant under a permutation sigma of the outcomes (fsums, a max,
+and window terms that see only Q(E)), so instance (sigma P, sigma Q,
+sigma E, window, order) has the excess double of (P, Q, E, window, order).
+For a fixed (Q, E), P -> sigma P is a bijection of the P grid, so the sweep
+evaluates one canonical (Q, E) per orbit against every P and counts each
+verdict once per member of the orbit (_event_tables): Q with nondecreasing
+parts, E a prefix of each run of equal parts. Where several instances share
+the maximum excess, the worst is the first in loop order among the
+sigma-images of the evaluations that reach it (_first_image), and an error
+names the first such image among the evaluations of its k that raise, so
+the output is the one-instance-at-a-time loop's.
+
+Each k's grids and windows are built once; P(E) takes one fsum per
+distinct multiset of parts (_event_masses). The verdict is computed in two
+passes that give the scalar loop's bytes. A vector pass evaluates every
+evaluation's divergence, exponent and bound as numpy arrays, in blocks of
+whole P rows, with a proven band around each excess: the distance the
+scalar kernels' double can lie from it (_block_excess). The scalar kernels
+then re-evaluate, in loop order, the evaluations whose band reaches the
+tolerance or the running maximum, and every one off the plain branch of the
+bound, where every error is raised (_sweep_outcome_count). The rest keep
+their vector verdict. A block holds about 8,192 evaluations, or one row
+where a row alone holds more, in four doubles and two flags per evaluation
+reused from block to block, so the peak memory grows with a row's windows
+times its orders.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 import time
@@ -42,7 +56,7 @@ from .distributions import FiniteDistribution, _types
 from .divergences import KL_ALPHA_BAND, _check_prob, _kl_nats, _renyi_nats, kl_divergence
 from .errors import FanoError, GridTooLarge, NumericalInstability
 
-MAX_SWEEP_INSTANCES = 5_000_000
+MAX_SWEEP_EVALUATIONS = 5_000_000
 POWER_SUM_GRID_POINTS = 1001
 POWER_SUM_ORDERS = (0.25, 0.5, 1.0, 2.0, 4.0)
 # a support check passes down to this negative slack
@@ -86,28 +100,45 @@ def _windows(q_event: float) -> tuple:
     return (("tight", q_event, q_event), slack) if q_event + q_event < 1.0 else (slack,)
 
 
+def _too_large(evaluations: int) -> GridTooLarge:
+    return GridTooLarge(f"sweep: at least {evaluations} planned evaluations exceed "
+                        f"the cap {MAX_SWEEP_EVALUATIONS}")
+
+
 def _planned_instances(spec: SweepSpec, tables: dict | None = None) -> int:
-    """Instances the sweep runs; once past the cap, the count so far: a
-    lower bound. tables, when given, keeps each k's _event_tables for the
-    sweep to reuse."""
+    """Instances the sweep runs: each P against every member of each
+    canonical window's orbit, at each order. tables, when given, keeps each
+    k's _event_tables for the sweep to reuse. Raises GridTooLarge once the
+    evaluations (each P against each canonical window, at each order) pass
+    MAX_SWEEP_EVALUATIONS, naming their count so far: a lower bound."""
     d = spec.weight_grid_denominator
     tables = {} if tables is None else tables
-    total = 0
+    evaluations = instances = 0
     for k in spec.outcome_counts:
         per_window = math.comb(d + k - 1, k - 1) * (len(spec.alphas) + 1)
-        # every event has its slack window: counted before any Q is listed
-        slack = per_window * math.comb(d - 1, k - 1) * (2 ** k - 2)
-        if total + slack > MAX_SWEEP_INSTANCES:
-            return total + slack
+        if d >= k:
+            # before any Q is listed: a sorted Q has at least k - 1 canonical
+            # events, and an orbit holds at most k! (Q, E) pairs
+            least = max(k - 1, -(-math.comb(d - 1, k - 1) * (2 ** k - 2)
+                                 // math.factorial(k)))
+            if evaluations + per_window * least > MAX_SWEEP_EVALUATIONS:
+                raise _too_large(evaluations + per_window * least)
         if k not in tables:
             tables[k] = _event_tables(k, d)
-        total += per_window * len(tables[k].w_q)
-    return total
+        evaluations += per_window * len(tables[k].w_q)
+        if evaluations > MAX_SWEEP_EVALUATIONS:
+            raise _too_large(evaluations)
+        instances += per_window * sum(tables[k].w_size.tolist())
+    return instances
 
 
 def _numbered(keys: np.ndarray, size: int) -> tuple:
     """The distinct keys (integers below size), ascending, and each key's
     rank among them."""
+    if size > max(8 * keys.size, 1 << 16):
+        # a table of every key would be mostly empty
+        distinct, rank = np.unique(keys.ravel(), return_inverse=True)
+        return distinct, rank.reshape(keys.shape)
     number = np.zeros(size, dtype=np.intp)
     number[keys] = 1
     distinct = np.flatnonzero(number)
@@ -124,8 +155,7 @@ def _event_masses(parts: np.ndarray, members: np.ndarray, d: int) -> tuple:
     parts: one fsum per distinct multiset. A network of elementwise min and
     max puts each event's parts (0 outside E, where they add nothing) in
     order, as the digits of a base-(d + 1) code. A proper event leaves a 0
-    first, so the codes lie below (d + 1)^(k - 1): at most 9^7 (k = d = 8)
-    where the plan admits the P grid."""
+    first, so the codes lie below (d + 1)^(k - 1)."""
     k = parts.shape[1]
     column = list(np.moveaxis(parts[:, None, :] * members, -1, 0))
     for end in range(k - 1, 0, -1):
@@ -143,46 +173,82 @@ def _event_masses(parts: np.ndarray, members: np.ndarray, d: int) -> tuple:
 
 
 class _EventTables(NamedTuple):
-    """The sweep's tables for k outcomes and denominator d."""
+    """The sweep's tables for k outcomes and denominator d: one canonical
+    (Q, E) per orbit of the outcome permutations."""
     p_grid: np.ndarray      # every P as integer parts, one row each
-    q_rows: np.ndarray      # the P rows with no zero part: the Q grid
-    members: np.ndarray     # 0/1 (event, outcome); event i has bit mask i + 1
-    masses: np.ndarray      # E's mass under P row r is masses[mass_index[r, e]]
-    mass_index: np.ndarray
+    q_rows: np.ndarray      # the P rows of the sorted full-support Qs
+    masks: list             # the events some window uses, as bit masks, ascending
+    members: np.ndarray     # their 0/1 (event, outcome) rows
     distinct: list          # the distinct windows (tag, p_min, p_max)
-    w_q: np.ndarray         # per window, in loop order: its Q index,
-    w_m: np.ndarray         # its event index
-    w_d: np.ndarray         # and its distinct window's index
+    w_q: np.ndarray         # per canonical window, in loop order: its Q index,
+    w_m: np.ndarray         # its event's index in masks,
+    w_d: np.ndarray         # its distinct window's index
+    w_size: np.ndarray      # and its orbit's size
+
+
+def _canonical_events(parts: list, d: int) -> list:
+    """(mask, orbit size, Q(E)) of every canonical proper event of the
+    nondecreasing parts of Q, by mask: E takes a prefix of each run of equal
+    parts. Permuting within runs fixes Q, so the orbit of (Q, E) holds
+    k! / prod over runs of |E in run|! |run - E|! pairs."""
+    k = len(parts)
+    runs = []       # (first position, length)
+    for _, run in itertools.groupby(parts):
+        runs.append((sum(n for _, n in runs), len(list(run))))
+    events = []
+    for takes in itertools.product(*(range(n + 1) for _, n in runs)):
+        mask = sum(((1 << t) - 1) << first for (first, _), t in zip(runs, takes))
+        if 0 < mask < (1 << k) - 1:
+            size = math.factorial(k)
+            for (_, n), t in zip(runs, takes):
+                size //= math.factorial(t) * math.factorial(n - t)
+            events.append((mask, size,
+                           math.fsum(parts[i] / d for i in range(k) if mask >> i & 1)))
+    return sorted(events)
 
 
 def _event_tables(k: int, d: int) -> _EventTables:
-    """The P and Q grids with k outcomes and denominator d, their event
-    masses and every window, in loop order; no windows where no Q has full
-    support (d < k).
+    """The P grid with k outcomes and denominator d, and one window per
+    orbit in loop order: the sorted full-support Qs, each with its canonical
+    events, each with its windows; no windows where no Q has full support
+    (d < k).
 
-    Only numpy kernels that the vector pass runs anyway build them (no sort,
-    unique, searchsorted, shift or integer min), with Python for the rest:
-    each further kernel maps its code into the process, up to 64 KB of
-    resident memory apiece."""
-    members = np.array([[m >> i & 1 for i in range(k)] for m in range(1, 2 ** k - 1)],
-                       dtype=np.intp).reshape(-1, k)
+    Only the P grid is a numpy kernel's: the rest is a few hundred (Q, E)
+    pairs in Python, and each further kernel maps its code into the
+    process, up to 64 KB of resident memory apiece."""
     p_grid = _types(k, d) if d >= k else np.empty((0, k), dtype=np.intp)
-    masses, mass_index = _event_masses(p_grid, members, d)
-    q_rows = np.array([r for r, parts in enumerate(p_grid.tolist()) if min(parts) > 0],
-                      dtype=np.intp)
+    q_rows, pairs = [], []
+    for r, parts in enumerate(p_grid.tolist()):
+        if parts[0] > 0 and parts == sorted(parts):
+            pairs += [(len(q_rows),) + event for event in _canonical_events(parts, d)]
+            q_rows.append(r)
+    masks = sorted({mask for _, mask, _, _ in pairs})
+    mask_index = {mask: i for i, mask in enumerate(masks)}
     # each distinct Q(E)'s windows, one after another in `distinct`
-    used, index = _numbered(mass_index[q_rows], len(masses))
-    per_mass = [_windows(q_event) for q_event in masses[used].tolist()]
-    distinct = [window for windows in per_mass for window in windows]
-    counts = np.array([len(windows) for windows in per_mass], dtype=np.intp)
-    first = np.cumsum(counts) - counts
-    pair_counts = counts[index].ravel()
-    pair = np.repeat(np.arange(pair_counts.size), pair_counts)
-    # a window's rank among its (Q, event) pair's
-    rank = np.arange(pair.size) - np.repeat(np.cumsum(pair_counts) - pair_counts, pair_counts)
-    w_q, w_m = np.divmod(pair, len(members))
-    return _EventTables(p_grid, q_rows, members, masses, mass_index, distinct,
-                        w_q, w_m, first[index.ravel()[pair]] + rank)
+    first: dict = {}
+    distinct: list = []
+    windows = []
+    for qi, mask, size, q_event in pairs:
+        tried = _windows(q_event)
+        if q_event not in first:
+            first[q_event] = len(distinct)
+            distinct += tried
+        windows += [(qi, mask_index[mask], first[q_event] + w, size) for w in range(len(tried))]
+    w_q, w_m, w_d, w_size = np.array(windows, dtype=np.intp).reshape(-1, 4).T
+    members = np.array([[m >> i & 1 for i in range(k)] for m in masks],
+                       dtype=np.intp).reshape(-1, k)
+    return _EventTables(p_grid, np.array(q_rows, dtype=np.intp), masks, members, distinct,
+                        w_q, w_m, w_d, w_size)
+
+
+def _first_image(p_parts, q_parts, mask: int) -> tuple:
+    """The loop-first sigma-image (P, Q, event mask) of an instance: P in
+    nondecreasing order (the smallest P index), then Q so within equal parts
+    of P, then E's members first among equal (p, q) atoms (the smallest
+    mask)."""
+    atoms = sorted((p, q, not mask >> i & 1) for i, (p, q) in enumerate(zip(p_parts, q_parts)))
+    return (tuple(p for p, _, _ in atoms), tuple(q for _, q, _ in atoms),
+            sum(1 << i for i, (_, _, out) in enumerate(atoms) if not out))
 
 
 def _instance_id(k: int, p_parts, q_parts, mask: int, tag: str, alpha_key) -> str:
@@ -198,7 +264,14 @@ def sweep_diffusion(spec: SweepSpec) -> SweepSummary:
     (Q(E), Q(E)) when 2 Q(E) < 1, and the slack one (0, Q(E)). Each window is
     checked at every configured order plus the KL form, in the loop order
     k, P, Q, event, window, (KL, orders); the worst instance is the first
-    maximum in that order.
+    maximum in that order, and an error is the first instance's to raise.
+
+    Each evaluation stands for the orbit of its (Q, E) under the outcome
+    permutations: its verdict counts once per member, and instances counts
+    them all. Ties at the maximum (and among raising evaluations of one k)
+    go to the loop-first sigma-image, so the summary and any error are those
+    of evaluating every instance in turn. MAX_SWEEP_EVALUATIONS caps the
+    evaluations, not the instances.
     """
     d = spec.weight_grid_denominator
     if d < 1:
@@ -207,11 +280,7 @@ def sweep_diffusion(spec: SweepSpec) -> SweepSummary:
         raise FanoError(
             f"outcome_counts: every count must be >= 1, got {spec.outcome_counts!r}")
     tables: dict = {}
-    planned = _planned_instances(spec, tables)
-    if planned > MAX_SWEEP_INSTANCES:
-        raise GridTooLarge(
-            f"sweep: at least {planned} planned instances exceed the cap {MAX_SWEEP_INSTANCES}"
-        )
+    instances = _planned_instances(spec, tables)
     for a in spec.alphas:
         if not 0.0 < a < math.inf or a == 1.0:
             raise NumericalInstability(
@@ -228,7 +297,7 @@ def sweep_diffusion(spec: SweepSpec) -> SweepSummary:
         _sweep_outcome_count(k, d, orders, tally, tables[k])
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return SweepSummary(
-        instances=tally.instances,
+        instances=instances,
         violations=tally.violations,
         max_violation=tally.max_excess,
         worst_instance=tally.worst,
@@ -236,7 +305,7 @@ def sweep_diffusion(spec: SweepSpec) -> SweepSummary:
     )
 
 
-# Instances per numpy block: whole P rows up to this many, or one row where
+# Evaluations per numpy block: whole P rows up to this many, or one row where
 # it alone holds more.
 _BLOCK_INSTANCES = 8192
 # The vector pass takes each library transcendental (exp, expm1, log and
@@ -252,14 +321,16 @@ _PLAIN_RANGE = (2.0 ** -960, 2.0 ** 960)
 
 
 class _Tally:
-    """The sweep's running counts and its first maximum excess so far."""
+    """The sweep's running violation count and its first maximum excess so
+    far, with the loop key of the worst instance: () until there is one, and
+    no key is below ()."""
 
     def __init__(self, tolerance: float):
         self.tolerance = tolerance
-        self.instances = 0
         self.violations = 0
         self.max_excess = -math.inf
         self.worst: dict | None = None
+        self.worst_key: tuple = ()
 
 
 def _block_divergences(p_parts, q_logs, atoms, alphas):
@@ -383,25 +454,36 @@ def _block_excess(dv, h, p, window, order, band, flags) -> None:
 
 def _sweep_outcome_count(k: int, d: int, orders, tally: _Tally,
                          tables: _EventTables) -> None:
-    """Every instance with k outcomes, in blocks of whole P rows; tables is
+    """Every evaluation with k outcomes, each P against each canonical
+    window at each order, in blocks of whole P rows; tables is
     _event_tables(k, d).
 
     A block's excesses and bands come from _block_excess. Within its band
     an excess may be the kernels' or not, so the scalar kernels evaluate,
-    in loop order, every instance whose band reaches spec.tolerance, and
+    in loop order, every evaluation whose band reaches spec.tolerance, and
     every one whose band reaches the threshold (the largest of the running
     maximum and the block's lower ends, excess - band) unless by its turn
-    the running maximum has passed its band. Instances with an infinite
+    the running maximum has passed its band. Evaluations with an infinite
     band are among them. The rest keep their vector verdict: below a
-    maximum, none can be a first maximum, and away from the tolerance,
-    their verdict is the kernels'. Every raise (a negative exponent, a sign
-    disagreement, a bound that is 0 only by rounding) has an infinite band,
-    so it comes at the same first instance with the same message.
+    maximum, none can be a maximum, and away from the tolerance, their
+    verdict is the kernels'. Every verdict counts once per member of its
+    window's orbit.
+
+    So every evaluation that reaches the maximum excess is re-evaluated,
+    and the worst instance is the loop-first sigma-image (_first_image)
+    among them: an image's window and order are its evaluation's, so the
+    images compare by (P, Q, mask), then window and order. Every raise (a
+    negative exponent, a sign disagreement, a bound that is 0 only by
+    rounding) has an infinite band, so every raising evaluation of the k is
+    re-evaluated too. The first instance to raise in loop order is the
+    loop-first image among them; its error names that image and is raised
+    once the k is done.
     """
-    p_array, q_rows, members, p_masses, e_index, distinct, w_q, w_m, w_d = tables
+    p_array, q_rows, masks, members, distinct, w_q, w_m, w_d, w_size = tables
     n_windows = len(w_q)
     if not n_windows:
         return
+    p_masses, e_index = _event_masses(p_array, members, d)
     q_grid = p_array[q_rows]
     q_list = q_grid.tolist()
     alphas = [alpha for _, alpha in orders]
@@ -443,11 +525,11 @@ def _sweep_outcome_count(k: int, d: int, orders, tally: _Tally,
     p_vecs, q_vecs = atom_table[2][p_array].tolist(), atom_table[2][q_grid].tolist()
     # a block holds `step` whole P rows; a divergence block holds a multiple
     # of `step` rows, about a quarter as many (P, Q, atom) entries as a
-    # block has instances
+    # block has evaluations
     step = min(len(p_list), max(1, _BLOCK_INSTANCES // (n_windows * n_orders)))
     div_rows = step * max(1, _BLOCK_INSTANCES // 4 // (len(q_list) * k) // step)
     # every block's arrays are views of these, reused: four doubles and two
-    # flags per instance, one P(E) and one event index per (P, window)
+    # flags per evaluation, one P(E) and one event index per (P, window)
     per_order = n_orders * step * n_windows
     scratch = np.empty(4 * per_order + step * n_windows)
     flags = np.empty(2 * per_order, dtype=bool)
@@ -466,7 +548,9 @@ def _sweep_outcome_count(k: int, d: int, orders, tally: _Tally,
 
     full_block = block_views(step)
     w_q_list, w_m_list, w_d_list = w_q.tolist(), w_m.tolist(), w_d.tolist()
+    w_size_list = w_size.tolist()
     tolerance = tally.tolerance
+    refusal = None      # (loop key, error) of the first image to raise
     for d0 in range(0, len(p_list), div_rows):
         dv = _block_divergences(p_array[d0:d0 + div_rows], q_logs, atom_table, alphas)
         for r0 in range(d0, min(d0 + div_rows, len(p_list)), step):
@@ -480,7 +564,6 @@ def _sweep_outcome_count(k: int, d: int, orders, tally: _Tally,
             np.take(p_masses, e_at, out=p_block, mode="clip")
             _block_excess(dv_block, h, p_block, window, order, band, block_flags)
             vector_excess = dv_block[1]
-            tally.instances += vector_excess.size
             lower = np.subtract(vector_excess, band, out=dv_block[0])
             upper = np.add(vector_excess, band, out=band)
             threshold = max(tally.max_excess, float(lower.max()))
@@ -490,22 +573,25 @@ def _sweep_outcome_count(k: int, d: int, orders, tally: _Tally,
             rescan &= test
             np.greater_equal(upper, threshold, out=test)
             rescan |= test
+            # vector violations, less the rescanned ones, each once per
+            # member of its window's orbit; the kernels that weigh them run
+            # only when there are some
             np.greater(vector_excess, tolerance, out=test)
-            tally.violations += int(np.count_nonzero(test))
-            test &= rescan
-            tally.violations -= int(np.count_nonzero(test))
+            if np.count_nonzero(test):
+                test &= ~rescan
+                tally.violations += int(w_size[np.flatnonzero(test) % n_windows].sum())
             flat = np.flatnonzero(rescan)
             js, rests = np.divmod(flat, p_block.size)
             divs: dict = {}
             for rest, j, low, high in sorted(zip(rests.tolist(), js.tolist(),
                                                  lower.ravel()[flat].tolist(),
                                                  upper.ravel()[flat].tolist())):
+                row, w = divmod(rest, n_windows)
                 if high < tally.max_excess and not low <= tolerance <= high:
                     # below a maximum found since the threshold was taken,
                     # and away from the tolerance: the band decides
-                    tally.violations += int(low > tolerance)
+                    tally.violations += w_size_list[w] * (low > tolerance)
                     continue
-                row, w = divmod(rest, n_windows)
                 row += r0
                 qi, mi = w_q_list[w], w_m_list[w]
                 tag, p_min, p_max = distinct[w_d_list[w]]
@@ -516,27 +602,39 @@ def _sweep_outcome_count(k: int, d: int, orders, tally: _Tally,
                     div = divs[row, qi, j] = (_kl_nats(atoms) if alpha is None
                                               else _renyi_nats(atoms, alpha))
                 p_event = p_events[e_rows[row][mi]]
-                if alpha is None:
-                    rhs = _kl_rhs_nats(div, p_event, p_min, p_max)
-                else:
-                    rhs = _renyi_rhs_nats(div, alpha, p_event, p_min, p_max)
-                excess = p_event - rhs
-                if excess > tolerance:
-                    if rhs == 0.0 and alpha is not None:
+                image = None
+                try:
+                    if alpha is None:
+                        rhs = _kl_rhs_nats(div, p_event, p_min, p_max)
+                    else:
+                        rhs = _renyi_rhs_nats(div, alpha, p_event, p_min, p_max)
+                    excess = p_event - rhs
+                    if excess > tolerance and rhs == 0.0 and alpha is not None:
+                        image = _first_image(p_list[row], q_list[qi], masks[mi])
                         _refuse_rounded_zero(
                             div, alpha, p_event, p_min, p_max, tolerance,
-                            "instance " + _instance_id(k, p_list[row], q_list[qi], mi + 1,
-                                                       tag, alpha_key))
-                    tally.violations += 1
-                if excess > tally.max_excess:
+                            "instance " + _instance_id(k, *image, tag, alpha_key))
+                except FanoError as exc:
+                    image = image or _first_image(p_list[row], q_list[qi], masks[mi])
+                    key = image + (tag == "slack", j)
+                    if refusal is None or key < refusal[0]:
+                        refusal = key, exc
+                    continue
+                tally.violations += w_size_list[w] * (excess > tolerance)
+                if not excess >= tally.max_excess:
+                    continue
+                image = image or _first_image(p_list[row], q_list[qi], masks[mi])
+                key = (k,) + image + (tag == "slack", j)
+                if excess > tally.max_excess or key < tally.worst_key:
+                    p_parts, q_parts, mask = image
                     tally.max_excess = excess
+                    tally.worst_key = key
                     tally.worst = {
-                        "id": _instance_id(k, p_list[row], q_list[qi], mi + 1,
-                                           tag, alpha_key),
+                        "id": _instance_id(k, *image, tag, alpha_key),
                         "k": k,
-                        "p": p_vecs[row],
-                        "q": q_vecs[qi],
-                        "event": np.flatnonzero(members[mi]).tolist(),
+                        "p": [a / d for a in p_parts],
+                        "q": [a / d for a in q_parts],
+                        "event": [i for i in range(k) if mask >> i & 1],
                         "p_min": p_min,
                         "p_max": p_max,
                         "alpha": alpha_key,
@@ -544,6 +642,8 @@ def _sweep_outcome_count(k: int, d: int, orders, tally: _Tally,
                         "bound_value": rhs,
                         "excess": excess,
                     }
+    if refusal is not None:
+        raise refusal[1]
 
 
 @dataclass(frozen=True)

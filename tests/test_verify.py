@@ -157,6 +157,19 @@ class TestSweep:
     def test_the_default_plan_counts_tight_windows_only_where_they_run(self):
         assert _planned_instances(SweepSpec()) == 615_600
 
+    @pytest.mark.parametrize("counts, d, least", [
+        ((4, 5), 64, 5_548_596_625),    # refused before k = 4's Q grid is listed
+        ((5,), 14, 8_032_500),          # refused once k = 5's orbits are listed
+    ])
+    def test_the_cap_counts_evaluations_not_instances(self, counts, d, least):
+        # 29,601,000 instances are 797,775 evaluations, under the cap
+        assert verify.MAX_SWEEP_EVALUATIONS == 5_000_000
+        assert _planned_instances(SweepSpec(outcome_counts=(2, 3, 4, 5),
+                                            weight_grid_denominator=10)) == 29_601_000
+        with pytest.raises(GridTooLarge, match=f"^sweep: at least {least} planned "
+                                               "evaluations exceed the cap 5000000$"):
+            sweep_diffusion(SweepSpec(outcome_counts=counts, weight_grid_denominator=d))
+
     @settings(max_examples=60, deadline=None)
     @given(counts=st.lists(st.integers(1, 3), min_size=1, max_size=3),
            d=st.integers(1, 8),
@@ -241,6 +254,53 @@ class TestSweep:
         assert repr(got) == repr(sweep_reference(spec))
         assert peak < 1_000_000
 
+    @pytest.mark.parametrize("counts, d, alphas, tolerance", [
+        ((4,), 5, (0.25, 4.0), 1e-9), ((4,), 6, (0.5,), 1e-9), ((4,), 6, (0.5, 2.0), 0.0),
+        ((4,), 7, (2.0,), 1e-9), ((5,), 5, (0.5, 2.0), 1e-9), ((5,), 6, (4.0,), 1e-9),
+        ((2, 2), 8, (0.5, 2.0), 1e-9), ((3, 4), 5, (0.25, 2.0), -1.0),
+        ((4, 5), 5, (0.25,), -1.0),
+        # the first evaluation to reach the maximum stands for
+        # k3-p0.3.3-q4.1.1-e6-tight-akl, but a later one's image,
+        # k3-p0.0.6-q1.4.1-e4-tight-a24.0, ties it and comes first
+        ((3,), 6, (24.0,), 1e-9),
+        # the first evaluation to raise, k4-p0.3.2.6-q1.2.4.4-e5 and
+        # k3-p7.7.4-q5.5.8-e4, is not the first instance to raise,
+        # k4-p0.2.3.6-q1.4.2.4-e3 and k3-p4.7.7-q8.5.5-e1
+        ((4,), 11, (32.0,), 0.1), ((3,), 18, (32.0,), 0.2),
+    ])
+    def test_orbit_sweeps_match_the_old_loop(self, counts, d, alphas, tolerance):
+        # one evaluation per (Q, E) orbit where orbits hold up to 5! pairs,
+        # repeated counts, excesses tied at 0, and thousands of violations
+        # (tolerance -1), each counted once per member of its orbit
+        spec = SweepSpec(outcome_counts=counts, weight_grid_denominator=d, alphas=alphas,
+                         tolerance=tolerance)
+        assert (outcome(lambda: summary_tuple(sweep_diffusion(spec)))
+                == outcome(lambda: sweep_reference(spec)))
+
+    def test_a_raise_names_the_first_image_among_every_raising_evaluation(self):
+        # with a bound that raises wherever P(E) = 1, the first evaluation to
+        # raise is p0.3.0-q1.1.1-e3 (slack), whose first image,
+        # p0.0.3-q1.1.1-e5, comes after p0.0.3-q1.1.1-e4 (tight), the image
+        # of the later evaluation p3.0.0-q1.1.1-e1: the error must be the
+        # tight window's. Bands this wide send every order evaluation to the
+        # scalar kernels, as a real raise's infinite band does.
+        real = verify._renyi_rhs_nats
+
+        def raising(div, alpha, p_event, p_min, p_max):
+            if p_event == 1.0:
+                raise NumericalInstability(f"P(E) = 1 in window ({p_min!r}, {p_max!r})")
+            return real(div, alpha, p_event, p_min, p_max)
+
+        spec = SweepSpec(outcome_counts=(3,), weight_grid_denominator=3, alphas=(2.0,))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verify, "TRANSCENDENTAL_ULPS", 1e16)
+            patch.setattr(verify, "_renyi_rhs_nats", raising)
+            patch.setattr(sys.modules[__name__], "_renyi_rhs_nats", raising)
+            got = outcome(lambda: summary_tuple(sweep_diffusion(spec)))
+            assert got == outcome(lambda: sweep_reference(spec))
+        assert got == ("NumericalInstability",
+                       "P(E) = 1 in window (0.3333333333333333, 0.3333333333333333)")
+
     def test_one_sweep_holds_under_a_megabyte(self):
         # on the default grid a block holds whole P rows of at most 3,480
         # instances
@@ -280,35 +340,134 @@ class TestSweep:
                                       alphas=(alpha,)))
 
 
+def event_members(k, masks):
+    return np.array([[m >> i & 1 for i in range(k)] for m in masks],
+                    dtype=np.intp).reshape(-1, k)
+
+
+def permuted(sigma, parts, mask):
+    """The sigma-image of (parts, mask): position i takes position sigma[i]'s
+    part, and is in the event when sigma[i] is."""
+    return ([parts[s] for s in sigma],
+            sum(1 << i for i, s in enumerate(sigma) if mask >> s & 1))
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_event_masses_are_the_per_entry_fsums(k):
     # one fsum per distinct multiset of parts stands for one per (row,
     # event); (sum of parts) / d would not: fsum(1/5, 2/5) is
     # 0.6000000000000001, 3/5 is 0.6
     events = [[i for i in range(k) if m >> i & 1] for m in range(1, 2 ** k - 1)]
+    members = event_members(k, range(1, 2 ** k - 1))
     for d in range(1, 17):
-        tables = verify._event_tables(k, d)
-        assert tables.members.tolist() == [[int(i in bits) for i in range(k)]
-                                           for bits in events]
         p_grid = verify._types(k, d).tolist()
-        masses, index = verify._event_masses(np.array(p_grid), tables.members, d)
+        masses, index = verify._event_masses(np.array(p_grid), members, d)
         want = [[math.fsum(parts[i] / d for i in bits) for bits in events]
                 for parts in p_grid]
         assert masses[index].tolist() == want, (k, d)
-        # the sweep's own P(E) table, and Q(E) through every window's p_max;
-        # no windows where no Q has full support
+        # the sweep's tables list the events its windows use, by mask
+        tables = verify._event_tables(k, d)
+        assert tables.members.tolist() == event_members(k, tables.masks).tolist()
+        assert tables.masks == sorted(set(tables.masks))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_the_orbit_tables_stand_for_every_window_once(k):
+    # the orbits of the canonical windows, sorted Q with E a prefix of each
+    # run of equal parts, are every (Q, E, window) the old loop tried, each
+    # once, with the orbit sizes the weights; Q(E) is the per-entry fsum of
+    # every member
+    for d in range(1, 13):
+        tables = verify._event_tables(k, d)
+        p_grid = verify._types(k, d).tolist()
         q_grid = [parts for parts in p_grid if min(parts) > 0]
-        if d < k:
-            assert not q_grid and not len(tables.w_q)
-            continue
-        assert tables.masses[tables.mass_index].tolist() == want, (k, d)
-        assert tables.p_grid[tables.q_rows].tolist() == q_grid
-        windows = [(qi, mi) + tables.distinct[di]
-                   for qi, mi, di in zip(tables.w_q, tables.w_m, tables.w_d)]
-        assert windows == [
-            (qi, mi) + window for qi, q_parts in enumerate(q_grid)
-            for mi, bits in enumerate(events)
-            for window in verify._windows(math.fsum(q_parts[i] / d for i in bits))]
+        want = {}
+        for q_parts in q_grid:
+            for mask in range(1, 2 ** k - 1):
+                q_event = math.fsum(q_parts[i] / d for i in range(k) if mask >> i & 1)
+                for window in verify._windows(q_event):
+                    want[(tuple(q_parts), mask) + window] = 1
+        sorted_qs = [p_grid[r] for r in tables.q_rows.tolist()]
+        assert sorted_qs == [q for q in q_grid if q == sorted(q)]
+        got = {}
+        loop = []
+        for qi, mi, di, size in zip(tables.w_q.tolist(), tables.w_m.tolist(),
+                                    tables.w_d.tolist(), tables.w_size.tolist()):
+            q_parts, mask = sorted_qs[qi], tables.masks[mi]
+            loop.append((qi, mask, tables.distinct[di][0] == "slack"))
+            orbit = {(tuple(image), image_mask) for image, image_mask in
+                     (permuted(sigma, q_parts, mask)
+                      for sigma in itertools.permutations(range(k)))}
+            assert len(orbit) == size, (d, q_parts, mask)
+            for image in orbit:
+                key = image + tables.distinct[di]
+                got[key] = got.get(key, 0) + 1
+        assert got == want, (k, d)
+        assert loop == sorted(loop)
+
+
+def test_keys_too_sparse_for_a_table_are_numbered_alike():
+    rng = np.random.default_rng(5)
+    keys = rng.integers(0, 50, size=(7, 3))
+    dense = verify._numbered(keys, 50)
+    far = verify._numbered(keys * 10 ** 12, 50 * 10 ** 12)
+    assert dense[1].tolist() == far[1].tolist()
+    assert (dense[0] * 10 ** 12).tolist() == far[0].tolist()
+
+
+@st.composite
+def grid_instances(draw):
+    """(k, d, P parts, Q parts, event mask or None at k = 1) on the sweep's
+    grids, k <= 5."""
+    k = draw(st.integers(1, 5))
+    d = draw(st.integers(k, 12))
+    grid = verify._types(k, d).tolist()
+    return (k, d, draw(st.sampled_from(grid)),
+            draw(st.sampled_from([c for c in grid if min(c) > 0])),
+            draw(st.integers(1, 2 ** k - 2)) if k > 1 else None)
+
+
+@settings(max_examples=80, deadline=None)
+@given(instance=grid_instances(),
+       alpha=st.one_of(st.floats(0.05, 0.95), st.floats(1.05, 100.0),
+                       st.sampled_from([1.0 - 1e-6, 1.0 + 1e-6, 1.0 - 1e-10, 1.0 + 1e-10,
+                                        0.999, 1.001, 16.0, 32.0, 64.0, 100.0])))
+# the default spec's worst instance, whose (Q, E) is not canonical, and a
+# raising instance of `fano sweep --alphas 32`
+@example(instance=(4, 8, [1, 1, 1, 5], [2, 2, 2, 2], 8), alpha=0.25)
+@example(instance=(2, 8, [1, 7], [3, 5], 1), alpha=32.0)
+def test_the_sweep_kernels_are_bitwise_invariant_under_outcome_permutations(instance, alpha):
+    # every sigma in S_k maps grid instance (P, Q, E) to one with the same
+    # divergences, event masses and bounds, bit for bit: what lets the
+    # sweep evaluate one (Q, E) per orbit. Orders within 1e-9 of 1 take
+    # the KL form.
+    k, d, p_parts, q_parts, mask = instance
+    sigmas = list(itertools.permutations(range(k)))
+    images = [(permuted(sigma, p_parts, mask or 0), permuted(sigma, q_parts, mask or 0))
+              for sigma in sigmas]
+    if mask is not None:
+        members = event_members(k, range(1, 2 ** k - 1))
+        masses, index = verify._event_masses(np.array([p for (p, _), _ in images]), members, d)
+
+    def kernels(i):
+        (p, image_mask), (q, _) = images[i]
+        atoms = list(zip([a / d for a in p], [a / d for a in q]))
+        kl, renyi = _kl_nats(atoms), _renyi_nats(atoms, alpha)
+        values = [kl, renyi]
+        if mask is None:
+            return repr(values)
+        p_event = math.fsum(p[j] / d for j in range(k) if image_mask >> j & 1)
+        q_event = math.fsum(q[j] / d for j in range(k) if image_mask >> j & 1)
+        values += [p_event, q_event, masses[index[i, image_mask - 1]]]
+        for _, p_min, p_max in verify._windows(q_event):
+            values.append(outcome(lambda: _kl_rhs_nats(kl, p_event, p_min, p_max)))
+            values.append(outcome(lambda: _renyi_rhs_nats(renyi, alpha, p_event, p_min, p_max)))
+        return repr(values)
+
+    want = kernels(0)
+    assert sigmas[0] == tuple(range(k))
+    for i in range(1, len(sigmas)):
+        assert kernels(i) == want, sigmas[i]
 
 
 @settings(max_examples=40, deadline=None)
