@@ -5,7 +5,12 @@ bounds limit how often any estimator can land inside an acceptable
 reconstruction set. The package covers finite alphabets (exact enumeration,
 grid sweeps) and continuous domains (volume ratios), with a `fano` CLI on
 top.
+
+The chain and sweep layers (`chains`, `verify`) load on first use of one of
+their names, so `from fanokit import cli` and the subcommands that need
+neither never import them.
 """
+import importlib
 
 from .bounds import (
     BoundInputs,
@@ -19,19 +24,6 @@ from .bounds import (
     mi_distance_bound,
     reports_to_csv,
     solve_diffusion,
-)
-from .chains import (
-    ChainSummary,
-    ChannelEstimator,
-    Experiment,
-    MapEstimator,
-    MLEstimator,
-    certify,
-    compute_beta,
-    enumerate_chain,
-    independent_samples_bound,
-    random_experiment,
-    simulate_chain,
 )
 from .distributions import (
     Channel,
@@ -71,13 +63,27 @@ from .relations import (
     sup_ball_volume,
     table_metric,
 )
-from .verify import (
-    SweepSpec,
-    SweepSummary,
-    sweep_diffusion,
-    verify_limit,
-    verify_power_sum,
-    verify_support_bound,
-)
+
+# name -> the module that serves it on first use (PEP 562)
+_LAZY = {name: module for module, names in {
+    "chains": ("ChainSummary", "ChannelEstimator", "Experiment", "MapEstimator",
+               "MLEstimator", "certify", "compute_beta", "enumerate_chain",
+               "independent_samples_bound", "random_experiment", "simulate_chain"),
+    "verify": ("SweepSpec", "SweepSummary", "sweep_diffusion", "verify_limit",
+               "verify_power_sum", "verify_support_bound"),
+}.items() for name in names}
+
+
+def __getattr__(name: str):
+    """A chain or sweep name, looked up in its module on every access and
+    never stored here, so what a caller gets is what that module holds now."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module("." + _LAZY[name], __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __version__ = "0.1.0"

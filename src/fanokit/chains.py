@@ -23,6 +23,7 @@ from .distributions import (
     JointDistribution,
     _kron_rows,
     _label_from_json,
+    _numbered,
     _types,
     event_probability,
     joint_from_prior_and_channel,
@@ -346,12 +347,12 @@ def _distinct_blocks(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         low = int(column.min())
         span = int(column.max()) - low + 1
         if size * span > np.iinfo(np.int64).max:
-            distinct, code = np.unique(code, return_inverse=True)
+            distinct, code = _numbered(code, size)
             size = len(distinct)
         code *= span
         code += column - low
         size *= span
-    distinct, index = np.unique(code, return_inverse=True)
+    distinct, index = _numbered(code, size)
     row = np.empty(len(distinct), dtype=np.intp)   # a row of y for each code
     row[index] = np.arange(len(y))
     return y[row], index

@@ -12,6 +12,7 @@ parallelism knob; it is validated if set and otherwise ignored).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -19,9 +20,7 @@ import sys
 import tempfile
 
 from . import bounds as _bounds
-from . import chains as _chains
 from . import jsonio
-from . import verify as _verify
 from .distributions import distribution_from_json
 from .divergences import renyi_divergence
 from .errors import FanoError
@@ -111,17 +110,17 @@ def _emit(args, result) -> None:
                     + [("notes", r.notes or "-")]) for r in result]
         width = 17
     else:
-        if isinstance(result, _verify.SweepSummary):
-            # fixed order; the table calls the worst instance "worst", "-" if none
+        if isinstance(result, dict):
+            obj = result
+            rows = table = sorted(obj.items())
+        else:
+            # a sweep summary, fixed order; the table calls the worst "worst", "-" if none
             obj = result.to_json_obj(include_timing=args.timing)
             worst = result.worst_instance["id"] if result.worst_instance else None
             rows = [("instances", result.instances), ("violations", result.violations),
                     ("max_violation", result.max_violation), ("worst_id", worst),
                     ("elapsed_ms", result.elapsed_ms)][:5 if args.timing else 4]
             table = rows[:3] + [("worst", worst or "-")] + rows[4:]
-        else:
-            obj = result
-            rows = table = sorted(obj.items())
         csv_rows = [[name for name, _ in rows], [value for _, value in rows]]
         records = [("", table)]
         width = 14
@@ -220,6 +219,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the tree main parses with, built on its first call: a parse keeps no state
+# in it (each gets a fresh namespace, and no type function or action keeps any)
+_parser = functools.cache(build_parser)
+
+
 def _cmd_divergence(args) -> int:
     base = _parse_base(args.base)
     P = distribution_from_json(_load_json(args.P))
@@ -301,6 +305,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    from . import chains as _chains
     base = _parse_base(args.base)
     obj = _load_json(args.experiment)
     if isinstance(obj, dict) and "base" not in obj:
@@ -316,6 +321,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from . import verify as _verify
     try:
         counts = tuple(int(v) for v in args.k.split(",") if v.strip())
         alphas = tuple(float(v) for v in args.alphas.split(",") if v.strip())
@@ -339,8 +345,7 @@ def _cmd_volume(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _thread_cap()
         return args.run(args)

@@ -276,6 +276,20 @@ def _types(m: int, n: int) -> np.ndarray:
     return np.diff(edges, axis=1) - 1
 
 
+def _numbered(keys: np.ndarray, size: int) -> tuple:
+    """The distinct keys (integers below size), ascending, and each key's
+    rank among them."""
+    if size > max(8 * keys.size, 1 << 16):
+        # a table of every key would be mostly empty
+        distinct, rank = np.unique(keys.ravel(), return_inverse=True)
+        return distinct, rank.reshape(keys.shape)
+    number = np.zeros(size, dtype=np.intp)
+    number[keys] = 1
+    distinct = np.flatnonzero(number)
+    number[distinct] = np.arange(len(distinct))
+    return distinct, number[keys]
+
+
 # -- JSON parsing -----------------------------------------------------------
 
 def _label_from_json(value: Any) -> Label:

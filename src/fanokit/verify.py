@@ -52,7 +52,7 @@ from .bounds import (
     _renyi_rhs_nats,
     _window_terms,
 )
-from .distributions import FiniteDistribution, _types
+from .distributions import FiniteDistribution, _numbered, _types
 from .divergences import KL_ALPHA_BAND, _check_prob, _kl_nats, _renyi_nats, kl_divergence
 from .errors import FanoError, GridTooLarge, NumericalInstability
 
@@ -132,20 +132,6 @@ def _planned_instances(spec: SweepSpec, tables: dict | None = None) -> int:
     return instances
 
 
-def _numbered(keys: np.ndarray, size: int) -> tuple:
-    """The distinct keys (integers below size), ascending, and each key's
-    rank among them."""
-    if size > max(8 * keys.size, 1 << 16):
-        # a table of every key would be mostly empty
-        distinct, rank = np.unique(keys.ravel(), return_inverse=True)
-        return distinct, rank.reshape(keys.shape)
-    number = np.zeros(size, dtype=np.intp)
-    number[keys] = 1
-    distinct = np.flatnonzero(number)
-    number[distinct] = np.arange(len(distinct))
-    return distinct, number[keys]
-
-
 def _event_masses(parts: np.ndarray, members: np.ndarray, d: int) -> tuple:
     """(masses, index): the mass math.fsum(parts[r, i] / d for i in E) of
     event E (row e of the 0/1 (event, outcome) matrix members) under row r
@@ -155,9 +141,12 @@ def _event_masses(parts: np.ndarray, members: np.ndarray, d: int) -> tuple:
     parts: one fsum per distinct multiset. A network of elementwise min and
     max puts each event's parts (0 outside E, where they add nothing) in
     order, as the digits of a base-(d + 1) code. A proper event leaves a 0
-    first, so the codes lie below (d + 1)^(k - 1)."""
+    first, so the codes lie below (d + 1)^(k - 1). The network runs in the
+    smallest unsigned type that holds d (uint8 up to 255); only the code
+    is widened."""
     k = parts.shape[1]
-    column = list(np.moveaxis(parts[:, None, :] * members, -1, 0))
+    small = np.min_scalar_type(d)
+    column = list(np.moveaxis(parts.astype(small)[:, None, :] * members.astype(small), -1, 0))
     for end in range(k - 1, 0, -1):
         for i in range(end):
             column[i], column[i + 1] = (np.minimum(column[i], column[i + 1]),

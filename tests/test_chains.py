@@ -562,6 +562,23 @@ def test_distinct_blocks_match_the_lexsort_reference(rows, columns, seed):
     assert np.array_equal(blocks, want_blocks) and np.array_equal(index, want_index)
 
 
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(1, 4), n=st.integers(1, 40), rows=st.integers(1, 400),
+       pool=st.integers(1, 60), seed=st.integers(0, 2 ** 31 - 1))
+@example(m=4, n=40, rows=400, pool=60, seed=0)
+@example(m=4, n=32, rows=20_000, pool=3_000, seed=1)
+def test_distinct_blocks_match_np_unique(m, n, rows, pool, seed):
+    # blocks of n draws from m symbols, as simulate_chain makes them, drawn
+    # from a pool so that they repeat; 4^40 codes pass int64, so at m = 4,
+    # n = 40 they are re-ranked on the way
+    rng = philox(seed)
+    y = rng.integers(0, m, size=(pool, n))[rng.integers(0, pool, size=rows)]
+    blocks, index = _distinct_blocks(y)
+    want_blocks, want_index = np.unique(y, axis=0, return_inverse=True)
+    assert np.array_equal(blocks, want_blocks)
+    assert np.array_equal(index, want_index.ravel())
+
+
 class TestCertify:
     def test_exact_report_set_for_a_distance_relation(self):
         prior = uniform_distribution((0, 1, 2))

@@ -522,3 +522,56 @@ def test_golden_stdout(case, fmt, capsys):
     assert main(argv + ["--format", fmt]) == code
     with open(os.path.join(GOLDEN, "%s.%s" % (case, fmt)), encoding="utf-8") as fh:
         assert capsys.readouterr().out == fh.read()
+
+
+def test_golden_argvs_read_the_same_twice_in_one_process(capsys):
+    # one parser serves every call in a process: a second pass over every
+    # golden argv, in reverse order, reads the goldens' bytes and exit codes
+    runs = [(case, fmt) for case in sorted(GOLDEN_CASES) for fmt in ("table", "json", "csv")]
+    for case, fmt in runs + runs[::-1]:
+        argv, code = GOLDEN_CASES[case]
+        assert main(argv + ["--format", fmt]) == code, (case, fmt)
+        with open(os.path.join(GOLDEN, "%s.%s" % (case, fmt)), encoding="utf-8") as fh:
+            assert capsys.readouterr().out == fh.read(), (case, fmt)
+
+
+# (argv, exit code): help texts and argparse's own usage errors
+HELP_AND_USAGE = [
+    ([], 2), (["--help"], 0), (["sweep", "--help"], 0), (["certify", "-h"], 0),
+    (["sweep", "--no-such-flag"], 2), (["volume"], 2), (["nope"], 2),
+    (["sweep", "--tolerance", "nan"], 2), (["sweep", "--denominator", "x"], 2),
+    (["volume", "{}", "--method", "fast"], 2),
+]
+
+CALL_TWICE = """
+import contextlib, io, json, sys
+from fanokit.cli import build_parser, main
+
+def run(call, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            call(argv)
+        except SystemExit as exc:
+            return [exc.code, out.getvalue(), err.getvalue()]
+
+argvs = json.loads(sys.argv[1])
+first = [run(main, argv) for argv in argvs]
+later = [run(main, argv) for argv in argvs]
+fresh = [run(build_parser().parse_args, argv) for argv in argvs]
+print(json.dumps([first, later, fresh]))
+"""
+
+
+def test_help_and_usage_errors_read_the_same_on_first_and_later_calls():
+    # a fresh interpreter, so the first call is the one that builds the parser
+    argvs = [argv for argv, _ in HELP_AND_USAGE]
+    proc = subprocess.run([sys.executable, "-c", CALL_TWICE, json.dumps(argvs)],
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, COLUMNS="80"))
+    first, later, fresh = json.loads(proc.stdout)
+    assert first == later == fresh
+    for (argv, code), (got, out, err) in zip(HELP_AND_USAGE, first):
+        assert got == code, argv
+        assert (out.startswith("usage: fano") and err == "") if code == 0 else (
+            out == "" and err.startswith("usage: fano") and "error: " in err), argv

@@ -20,6 +20,7 @@ from fanokit import (
 )
 from fanokit.errors import BadPminPmax, FanoError, GridTooLarge, NumericalInstability
 from fanokit.bounds import _kl_rhs_nats, _refuse_rounded_zero, _renyi_rhs_nats
+from fanokit.distributions import _numbered
 from fanokit.divergences import _kl_nats, _renyi_nats
 from fanokit import verify
 from fanokit.verify import _planned_instances
@@ -150,9 +151,12 @@ class TestSweep:
         ((2, 3), 4, (0.5, 2.0)), ((3,), 6, (0.25,)), ((2, 3, 4), 6, (2.0,)),
         ((4,), 8, ()), ((2, 2), 10, (0.5, 4.0)), ((2,), 1, (0.5,))])
     def test_the_plan_counts_the_instances_the_sweep_runs(self, counts, d, alphas):
+        # the sweep reports the plan's count, so both are checked against
+        # the instances the scalar loop visits
         spec = SweepSpec(outcome_counts=counts, weight_grid_denominator=d,
                          alphas=alphas)
-        assert _planned_instances(spec) == sweep_diffusion(spec).instances
+        visited = sweep_reference(spec)[0]
+        assert _planned_instances(spec) == sweep_diffusion(spec).instances == visited
 
     def test_the_default_plan_counts_tight_windows_only_where_they_run(self):
         assert _planned_instances(SweepSpec()) == 615_600
@@ -371,6 +375,30 @@ def test_event_masses_are_the_per_entry_fsums(k):
         assert tables.masks == sorted(set(tables.masks))
 
 
+@pytest.mark.parametrize("k, d", [(2, 255), (2, 256), (2, 65_536), (3, 256)])
+def test_event_masses_hold_past_one_byte_parts(k, d):
+    # the min/max network runs in uint8 up to d = 255, wider past it
+    events = [[i for i in range(k) if m >> i & 1] for m in range(1, 2 ** k - 1)]
+    p_grid = verify._types(k, d).tolist()
+    masses, index = verify._event_masses(np.array(p_grid), event_members(
+        k, range(1, 2 ** k - 1)), d)
+    want = [[math.fsum(parts[i] / d for i in bits) for bits in events] for parts in p_grid]
+    assert masses[index].tolist() == want
+
+
+def test_event_masses_on_a_large_grid_stay_small():
+    # k = 8, d = 9: 11,440 P rows x 14 events; an intp network over
+    # (row, event, outcome) peaked at 21.8 million bytes, a uint8 one at 9.1
+    tables = verify._event_tables(8, 9)
+    tracemalloc.start()
+    try:
+        verify._event_masses(tables.p_grid, tables.members, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12_000_000
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_the_orbit_tables_stand_for_every_window_once(k):
     # the orbits of the canonical windows, sorted Q with E a prefix of each
@@ -409,8 +437,8 @@ def test_the_orbit_tables_stand_for_every_window_once(k):
 def test_keys_too_sparse_for_a_table_are_numbered_alike():
     rng = np.random.default_rng(5)
     keys = rng.integers(0, 50, size=(7, 3))
-    dense = verify._numbered(keys, 50)
-    far = verify._numbered(keys * 10 ** 12, 50 * 10 ** 12)
+    dense = _numbered(keys, 50)
+    far = _numbered(keys * 10 ** 12, 50 * 10 ** 12)
     assert dense[1].tolist() == far[1].tolist()
     assert (dense[0] * 10 ** 12).tolist() == far[0].tolist()
 
