@@ -324,13 +324,21 @@ def _in_base(nats: ChainSummary, base: float) -> ChainSummary:
         beta=_scale(nats.beta, base))
 
 
-def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """One draw per u: the count of cumulative weights <= u in its row of cum
-    (or in cum itself, if one-dimensional), capped at the last index. Rows
-    are non-decreasing, so leaving the last column out is the cap."""
-    idx = np.zeros(len(u), dtype=np.intp)
+def _inverse_cdf(cum: np.ndarray, u: np.ndarray,
+                 row_of: np.ndarray | None = None) -> np.ndarray:
+    """One draw per u: the count of cumulative weights <= u in its row of cum,
+    capped at the last index. Rows are non-decreasing, so leaving the last
+    column out is the cap.
+
+    A one-dimensional cum is the row of every u. Otherwise the last axis of u
+    runs over trials, and trial t reads row row_of[t] of cum (row t if row_of
+    is None): each column is gathered to the trials once and compared with
+    every row of u. The draws come in the smallest unsigned type that holds
+    them.
+    """
+    idx = np.zeros(u.shape, dtype=np.min_scalar_type(cum.shape[-1] - 1))
     for column in cum.T[:-1]:
-        idx += column <= u
+        idx += (column if row_of is None else column.take(row_of)) <= u
     return idx
 
 
@@ -358,6 +366,22 @@ def _distinct_blocks(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return y[row], index
 
 
+# Y_1..Y_n are drawn a group at a time, with at most this many uniforms
+# (2 MiB) in a group, or one draw: all n at once for small trial counts, and
+# a bounded footprint for large ones
+DRAW_GROUP = 1 << 18
+
+
+def _column_sums(counts: np.ndarray, group: np.ndarray, k: int) -> np.ndarray:
+    """The columns of an integer count matrix summed within groups: column j
+    goes to group[j] < k. Every partial sum is an integer below 2^53, so the
+    float sums are exact in any order."""
+    rows = len(counts)
+    keys = group + k * np.arange(rows)[:, None]
+    return np.bincount(keys.ravel(), weights=counts.ravel(),
+                       minlength=rows * k).reshape(rows, k)
+
+
 def simulate_chain(exp: Experiment, trials: int, seed: int = 0) -> ChainSummary:
     """Monte Carlo chain summary from a counter-based stream.
 
@@ -365,6 +389,15 @@ def simulate_chain(exp: Experiment, trials: int, seed: int = 0) -> ChainSummary:
     doubles for X, then trials doubles for each of Y_1..Y_n in turn, then
     trials doubles for a randomized estimator's Xhat; each draw is an
     inverse-CDF lookup. The golden files pin this layout.
+
+    Each trial's observation block gets one integer code, Horner over its
+    draws, so codes sort as blocks do; _numbered ranks them and the distinct
+    blocks are decoded from their codes. Where m^n passes int64 the draws are
+    kept and _distinct_blocks ranks them instead. One bincount of (x, block)
+    is the empirical joint of X and Y^n. The (X, Y_1) joint and, for a
+    deterministic estimator, the (X, Xhat) joint are sums of its columns: the
+    same integer counts as a tally trial by trial, so the same bits once
+    divided by trials. A randomized estimator draws Xhat trial by trial.
 
     The empirical joint, event probability, and information fields are
     plug-in estimates; beta is exact (a channel property). mc_stderr is the
@@ -378,36 +411,43 @@ def simulate_chain(exp: Experiment, trials: int, seed: int = 0) -> ChainSummary:
     m = len(exp.channel.output_outcomes)
     n = exp.n_samples
 
-    def draw(cum: np.ndarray, row_of: np.ndarray) -> np.ndarray:
-        """One draw per trial t from row row_of[t] of the cumulative rows cum."""
-        return _inverse_cdf(np.take(cum, row_of, axis=0), rng.random(trials))
-
-    x_idx = _inverse_cdf(np.cumsum(exp.prior.weights), rng.random(trials))
+    # widened, as x_idx * len(blocks) below must not wrap
+    x_idx = _inverse_cdf(np.cumsum(exp.prior.weights), rng.random(trials)).astype(np.intp)
     cum_y = np.cumsum(exp.channel.matrix, axis=1)
-    y = np.empty((trials, n), dtype=np.intp, order="F")   # one column per draw
-    for kk in range(n):
-        y[:, kk] = draw(cum_y, x_idx)
-
-    blocks, block_of = _distinct_blocks(y)
-    xhat_labels, picks, E = _resolve_estimator(exp.estimator, exp.channel, blocks)
-    if picks is not None:
-        xhat_idx = picks[block_of]
+    per_group = max(1, DRAW_GROUP // trials)
+    groups = (_inverse_cdf(cum_y, rng.random((min(per_group, n - first), trials)), x_idx)
+              for first in range(0, n, per_group))   # a row per draw
+    if m ** n <= np.iinfo(np.int64).max:
+        code = np.zeros(trials, dtype=np.int64)
+        for row in itertools.chain.from_iterable(groups):
+            code *= m
+            code += row
+        distinct, block_of = _numbered(code, m ** n)
+        blocks = np.empty((len(distinct), n), dtype=np.intp)
+        for kk in reversed(range(n)):
+            distinct, blocks[:, kk] = np.divmod(distinct, m)
     else:
-        xhat_idx = draw(np.cumsum(E, axis=1), block_of)
+        blocks, block_of = _distinct_blocks(np.concatenate(list(groups)).T)
 
-    def joint_with_x(b: np.ndarray, k: int) -> np.ndarray:
-        """Empirical joint of X and an index b < k, one row per source symbol."""
-        return np.bincount(x_idx * k + b, minlength=nx * k).reshape(nx, k) / trials
+    xy = np.bincount(x_idx * len(blocks) + block_of,
+                     minlength=nx * len(blocks)).reshape(nx, len(blocks))
+    xhat_labels, picks, E = _resolve_estimator(exp.estimator, exp.channel, blocks)
+    k = len(xhat_labels)
+    if picks is not None:
+        x_xhat = _column_sums(xy, picks, k)
+    else:
+        xhat_idx = _inverse_cdf(np.cumsum(E, axis=1), rng.random(trials), block_of)
+        x_xhat = np.bincount(x_idx * k + xhat_idx, minlength=nx * k).reshape(nx, k)
 
-    W = joint_with_x(xhat_idx, len(xhat_labels))
+    W = x_xhat / trials
     joint = JointDistribution(exp.prior.outcomes, xhat_labels, W)
     p_rel = event_probability(joint, exp.relation)
     stderr = math.sqrt(max(p_rel * (1.0 - p_rel), 0.0) / trials)
     return _in_base(ChainSummary(
         joint_xxhat=joint,
         p_rel=p_rel,
-        mi_xy=_mi_nats_from_matrix(joint_with_x(block_of, len(blocks))),
-        mi_y1=_mi_nats_from_matrix(joint_with_x(y[:, 0], m)),
+        mi_xy=_mi_nats_from_matrix(xy / trials),
+        mi_y1=_mi_nats_from_matrix(_column_sums(xy, blocks[:, 0], m) / trials),
         mi_xxhat=_mi_nats_from_matrix(W),
         h_x_given_xhat=conditional_entropy(joint),
         beta=compute_beta(exp.channel),

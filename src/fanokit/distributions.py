@@ -216,8 +216,12 @@ class Channel:
                 "channel: matrix shape %r does not match %d x %d labels"
                 % (arr.shape, len(ins), len(outs))
             )
-        for i, row in enumerate(arr):
-            _check_weights(row.copy(), f"channel row {ins[i]!r}")
+        # the whole matrix at once, one fsum per row; the first row that fails
+        # goes through _check_weights, which raises what a per-row check would
+        valid = (np.isfinite(arr) & (arr >= 0)).all(axis=1).tolist()
+        for i, (row, ok) in enumerate(zip(arr.tolist(), valid)):
+            if not ok or abs(math.fsum(row) - 1.0) > MASS_TOLERANCE:
+                _check_weights(arr[i], f"channel row {ins[i]!r}")
         arr.flags.writeable = False
         object.__setattr__(self, "input_outcomes", ins)
         object.__setattr__(self, "output_outcomes", outs)
@@ -283,11 +287,14 @@ def _numbered(keys: np.ndarray, size: int) -> tuple:
         # a table of every key would be mostly empty
         distinct, rank = np.unique(keys.ravel(), return_inverse=True)
         return distinct, rank.reshape(keys.shape)
-    number = np.zeros(size, dtype=np.intp)
-    number[keys] = 1
-    distinct = np.flatnonzero(number)
+    seen = np.zeros(size, dtype=bool)
+    seen[keys] = True
+    distinct = np.flatnonzero(seen)
+    del seen                     # gone before the rank table is made
+    # the ranks, in the smallest type that holds them; only seen keys are read
+    number = np.empty(size, dtype=np.min_scalar_type(max(len(distinct) - 1, 0)))
     number[distinct] = np.arange(len(distinct))
-    return distinct, number[keys]
+    return distinct, number[keys].astype(np.intp)
 
 
 # -- JSON parsing -----------------------------------------------------------

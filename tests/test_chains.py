@@ -526,10 +526,48 @@ def sampled_experiment(rng, nx, m, n, estimator, zeros):
                       equality_relation(), n_samples=n)
 
 
+@settings(max_examples=300, deadline=None)
+@given(k=st.one_of(st.integers(1, 6), st.sampled_from([256, 257])),
+       rows=st.integers(1, 5), trials=st.integers(1, 40), draws=st.integers(1, 4),
+       zeros=st.booleans(), short=st.booleans(), seed=st.integers(0, 2 ** 31 - 1))
+def test_inverse_cdf_matches_the_reference(k, rows, trials, draws, zeros, short, seed):
+    # zero weights repeat cumulative values, short rows end below 1, and about
+    # half the u are a threshold of their own row exactly; every row of u is a
+    # draw over the trials, trial t reading row row_of[t] of cum
+    rng = philox(seed)
+    weights = rng.dirichlet(np.ones(k), size=rows)
+    if zeros:
+        weights[rng.random((rows, k)) < 0.4] = 0.0
+    if short:
+        weights *= rng.choice([1.0 - 2.0 ** -52, 0.999, 0.5], size=(rows, 1))
+    cum = np.cumsum(weights, axis=1)
+    row_of = rng.integers(0, rows, size=trials)
+    u = rng.random((draws, trials))
+    u[rng.random(u.shape) < 0.1] = 1.0 - 2.0 ** -53
+    hit = rng.random(u.shape) < 0.5
+    u[hit] = cum[row_of, rng.integers(0, k, size=u.shape)][hit]
+    got = _inverse_cdf(cum, u, row_of)
+    assert got.shape == u.shape
+    assert got.tolist() == [reference_inverse_cdf(cum[row_of], draw).tolist()
+                            for draw in u]
+    # the prior's case: one row for every u
+    assert (_inverse_cdf(cum[0], u[0]).tolist()
+            == reference_inverse_cdf(cum[0], u[0]).tolist())
+
+
 @settings(max_examples=150, deadline=None)
 @given(m=st.integers(1, 5), n=st.integers(1, 6), nx=st.integers(1, 4),
        estimator=st.sampled_from(["ml", "map", "channel"]), zeros=st.booleans(),
        trials=st.sampled_from([1, 2, 37, 2000]), seed=st.integers(0, 2 ** 31 - 1))
+@example(m=4, n=3, nx=4, estimator="ml", zeros=False, trials=20_000, seed=1)
+@example(m=4, n=3, nx=4, estimator="map", zeros=True, trials=20_000, seed=2)
+@example(m=3, n=1, nx=3, estimator="channel", zeros=False, trials=20_000, seed=3)
+@example(m=4, n=3, nx=4, estimator="channel", zeros=True, trials=20_000, seed=4)
+# 4^8 codes fill _numbered's dense table; 4^9 are too sparse for one at 2,000 keys
+@example(m=4, n=8, nx=3, estimator="ml", zeros=False, trials=2000, seed=5)
+@example(m=4, n=9, nx=3, estimator="ml", zeros=True, trials=2000, seed=6)
+@example(m=4, n=8, nx=2, estimator="channel", zeros=False, trials=2000, seed=7)
+@example(m=4, n=9, nx=2, estimator="channel", zeros=False, trials=2000, seed=8)
 def test_simulate_chain_matches_the_reference_bit_for_bit(m, n, nx, estimator, zeros,
                                                           trials, seed):
     exp = sampled_experiment(philox(seed, 1), nx, m, n, estimator, zeros)
@@ -542,6 +580,17 @@ def test_simulate_chain_matches_the_reference_past_int64_codes():
     exp = sampled_experiment(philox(3), 4, 4, 40, "ml", zeros=False)
     assert summary_bits(simulate_chain(exp, 5000, 9)) == summary_bits(
         reference_simulate_chain(exp, 5000, 9))
+
+
+@pytest.mark.parametrize("n, estimator, group", [
+    (5, "channel", 1), (5, "channel", 400), (5, "map", 1000), (40, "ml", 1400)])
+def test_draws_made_a_group_at_a_time_keep_the_stream(monkeypatch, n, estimator, group):
+    # at 200 trials: groups of one draw, of two (the last one short), all
+    # five at once, and past int64 groups of seven (the last of five)
+    monkeypatch.setattr(chains, "DRAW_GROUP", group)
+    exp = sampled_experiment(philox(n, group), 3, 4, n, estimator, zeros=True)
+    assert summary_bits(simulate_chain(exp, 200, 11)) == summary_bits(
+        reference_simulate_chain(exp, 200, 11))
 
 
 @settings(max_examples=200, deadline=None)

@@ -18,6 +18,8 @@ from fanokit import (
     uniform_distribution,
 )
 from fanokit.distributions import (
+    MASS_TOLERANCE,
+    _check_weights,
     channel_from_json,
     distribution_from_json,
     joint_from_json,
@@ -140,6 +142,67 @@ class TestChannel:
         ch = Channel((0, 1), (0, 1), [[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(FanoError, match="must match channel inputs"):
             joint_from_prior_and_channel(prior, ch)
+
+
+ROW_DEFECTS = ("nan", "inf", "-inf", "negative", "negative zero", "negative, sum kept",
+               "off-sum", "within tolerance", "overflow", "overflow past inf")
+
+
+def spoil(row, defect, j):
+    """Puts one defect into a channel row, at column j."""
+    values = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "negative zero": -0.0}
+    if defect in values:
+        row[j] = values[defect]
+    elif defect == "negative":
+        row[j] = -row[j] - 0.25
+    elif defect == "negative, sum kept" and len(row) > 1:
+        row[j] -= 0.5
+        row[j - 1] += 0.5
+    elif defect == "off-sum":
+        row[j] += 1e-9
+    elif defect == "within tolerance":
+        row[j] += MASS_TOLERANCE / 4
+    elif defect.startswith("overflow"):
+        row[:] = 1e308                  # finite, but fsum overflows past two
+        if defect == "overflow past inf":
+            row[j] = np.inf
+
+
+@st.composite
+def defective_channels(draw):
+    """(input labels, matrix): Dirichlet rows, each with up to two defects
+    in any position."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    rng = philox(draw(st.integers(0, 2 ** 31 - 1)))
+    matrix = rng.dirichlet(np.ones(cols), size=rows)
+    for row in matrix:
+        for defect in draw(st.lists(st.sampled_from(ROW_DEFECTS), max_size=2)):
+            spoil(row, defect, draw(st.integers(0, cols - 1)))
+    labels = draw(st.sampled_from([tuple(range(rows)),
+                                   tuple("x%d" % i for i in range(rows))]))
+    return labels, matrix
+
+
+def raised(call):
+    try:
+        call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(defective_channels())
+def test_channel_checks_its_matrix_as_a_per_row_loop_would(case):
+    # the first bad row decides, with the error _check_weights gives it alone
+    labels, matrix = case
+    outputs = tuple(range(matrix.shape[1]))
+
+    def per_row():
+        for label, row in zip(labels, matrix):
+            _check_weights(row.copy(), f"channel row {label!r}")
+
+    assert raised(lambda: Channel(labels, outputs, matrix)) == raised(per_row)
 
 
 class TestProductChannel:

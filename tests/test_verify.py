@@ -399,6 +399,19 @@ def test_event_masses_on_a_large_grid_stay_small():
     assert peak < 12_000_000
 
 
+def test_event_masses_rank_in_a_small_table():
+    # k = 7, d = 10: 272,272 codes below 11^6 = 1,771,561 with 125 distinct
+    # masses; an intp rank table took 14.2 million bytes of a 20.4 million peak
+    tables = verify._event_tables(7, 10)
+    tracemalloc.start()
+    try:
+        verify._event_masses(tables.p_grid, tables.members, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_the_orbit_tables_stand_for_every_window_once(k):
     # the orbits of the canonical windows, sorted Q with E a prefix of each
@@ -440,6 +453,7 @@ def test_keys_too_sparse_for_a_table_are_numbered_alike():
     dense = _numbered(keys, 50)
     far = _numbered(keys * 10 ** 12, 50 * 10 ** 12)
     assert dense[1].tolist() == far[1].tolist()
+    assert dense[1].dtype == far[1].dtype == np.intp
     assert (dense[0] * 10 ** 12).tolist() == far[0].tolist()
 
 
