@@ -390,14 +390,13 @@ def simulate_chain(exp: Experiment, trials: int, seed: int = 0) -> ChainSummary:
     trials doubles for a randomized estimator's Xhat; each draw is an
     inverse-CDF lookup. The golden files pin this layout.
 
-    Each trial's observation block gets one integer code, Horner over its
-    draws, so codes sort as blocks do; _numbered ranks them and the distinct
-    blocks are decoded from their codes. Where m^n passes int64 the draws are
-    kept and _distinct_blocks ranks them instead. One bincount of (x, block)
-    is the empirical joint of X and Y^n. The (X, Y_1) joint and, for a
-    deterministic estimator, the (X, Xhat) joint are sums of its columns: the
-    same integer counts as a tally trial by trial, so the same bits once
-    divided by trials. A randomized estimator draws Xhat trial by trial.
+    The draws come in the smallest unsigned type that holds them, so all n
+    are kept, and _distinct_blocks ranks the observation blocks. One
+    bincount of (x, block) is the empirical joint of X and Y^n. The (X, Y_1)
+    joint and, for a deterministic estimator, the (X, Xhat) joint are sums
+    of its columns: the same integer counts as a tally trial by trial, so
+    the same bits once divided by trials. A randomized estimator draws Xhat
+    trial by trial.
 
     The empirical joint, event probability, and information fields are
     plug-in estimates; beta is exact (a channel property). mc_stderr is the
@@ -415,19 +414,9 @@ def simulate_chain(exp: Experiment, trials: int, seed: int = 0) -> ChainSummary:
     x_idx = _inverse_cdf(np.cumsum(exp.prior.weights), rng.random(trials)).astype(np.intp)
     cum_y = np.cumsum(exp.channel.matrix, axis=1)
     per_group = max(1, DRAW_GROUP // trials)
-    groups = (_inverse_cdf(cum_y, rng.random((min(per_group, n - first), trials)), x_idx)
-              for first in range(0, n, per_group))   # a row per draw
-    if m ** n <= np.iinfo(np.int64).max:
-        code = np.zeros(trials, dtype=np.int64)
-        for row in itertools.chain.from_iterable(groups):
-            code *= m
-            code += row
-        distinct, block_of = _numbered(code, m ** n)
-        blocks = np.empty((len(distinct), n), dtype=np.intp)
-        for kk in reversed(range(n)):
-            distinct, blocks[:, kk] = np.divmod(distinct, m)
-    else:
-        blocks, block_of = _distinct_blocks(np.concatenate(list(groups)).T)
+    groups = [_inverse_cdf(cum_y, rng.random((min(per_group, n - first), trials)), x_idx)
+              for first in range(0, n, per_group)]   # a row per draw
+    blocks, block_of = _distinct_blocks(np.concatenate(groups).T)
 
     xy = np.bincount(x_idx * len(blocks) + block_of,
                      minlength=nx * len(blocks)).reshape(nx, len(blocks))

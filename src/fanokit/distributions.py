@@ -33,17 +33,28 @@ def _check_labels(labels: Iterable[Label], what: str) -> tuple:
     return out
 
 
+def _check_rows(rows: np.ndarray, what: Callable[[int], str],
+                expect_total: float = 1.0) -> None:
+    """Every row of a 2-D weight array must be finite, nonnegative and sum
+    (by fsum) to expect_total; the first row that is not raises, named
+    what(i). Finiteness and sign are checked for the whole array at once."""
+    finite = np.isfinite(rows).all(axis=1).tolist()
+    signed = (rows >= 0).all(axis=1).tolist()
+    for i, (row, is_finite, is_signed) in enumerate(zip(rows, finite, signed)):
+        if not is_finite:
+            raise NegativeWeight(f"{what(i)}: weights must be finite")
+        if not is_signed:
+            raise NegativeWeight(f"{what(i)}: weights must be nonnegative")
+        total = math.fsum(row.tolist())
+        if abs(total - expect_total) > MASS_TOLERANCE:
+            raise SumNotOne(f"{what(i)}: weights sum to {total!r}, expected {expect_total}")
+
+
 def _check_weights(weights, what: str, expect_total: float = 1.0) -> np.ndarray:
     arr = np.array(weights, dtype=np.float64)
     if arr.ndim != 1:
         raise NegativeWeight(f"{what}: weights must be a flat sequence")
-    if not np.all(np.isfinite(arr)):
-        raise NegativeWeight(f"{what}: weights must be finite")
-    if np.any(arr < 0):
-        raise NegativeWeight(f"{what}: weights must be nonnegative")
-    total = math.fsum(arr.tolist())
-    if abs(total - expect_total) > MASS_TOLERANCE:
-        raise SumNotOne(f"{what}: weights sum to {total!r}, expected {expect_total}")
+    _check_rows(arr[None], lambda _: what, expect_total)
     arr.flags.writeable = False
     return arr
 
@@ -216,12 +227,7 @@ class Channel:
                 "channel: matrix shape %r does not match %d x %d labels"
                 % (arr.shape, len(ins), len(outs))
             )
-        # the whole matrix at once, one fsum per row; the first row that fails
-        # goes through _check_weights, which raises what a per-row check would
-        valid = (np.isfinite(arr) & (arr >= 0)).all(axis=1).tolist()
-        for i, (row, ok) in enumerate(zip(arr.tolist(), valid)):
-            if not ok or abs(math.fsum(row) - 1.0) > MASS_TOLERANCE:
-                _check_weights(arr[i], f"channel row {ins[i]!r}")
+        _check_rows(arr, lambda i: f"channel row {ins[i]!r}")
         arr.flags.writeable = False
         object.__setattr__(self, "input_outcomes", ins)
         object.__setattr__(self, "output_outcomes", outs)

@@ -1,4 +1,6 @@
 """Finite distributions, joints, and channels."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -183,6 +185,19 @@ def defective_channels(draw):
     return labels, matrix
 
 
+def reference_check_weights(row, what):
+    """One row's weight checks, value by value: finite, then nonnegative,
+    then an fsum within MASS_TOLERANCE of 1."""
+    values = [float(v) for v in row]
+    if not all(math.isfinite(v) for v in values):
+        raise NegativeWeight(f"{what}: weights must be finite")
+    if any(v < 0 for v in values):
+        raise NegativeWeight(f"{what}: weights must be nonnegative")
+    total = math.fsum(values)
+    if abs(total - 1.0) > MASS_TOLERANCE:
+        raise SumNotOne(f"{what}: weights sum to {total!r}, expected 1.0")
+
+
 def raised(call):
     try:
         call()
@@ -194,15 +209,19 @@ def raised(call):
 @settings(max_examples=400, deadline=None)
 @given(defective_channels())
 def test_channel_checks_its_matrix_as_a_per_row_loop_would(case):
-    # the first bad row decides, with the error _check_weights gives it alone
+    # the first bad row decides, with the error the row gives alone; a
+    # distribution's weights are checked as one such row
     labels, matrix = case
     outputs = tuple(range(matrix.shape[1]))
 
     def per_row():
         for label, row in zip(labels, matrix):
-            _check_weights(row.copy(), f"channel row {label!r}")
+            reference_check_weights(row, f"channel row {label!r}")
 
     assert raised(lambda: Channel(labels, outputs, matrix)) == raised(per_row)
+    for row in matrix:
+        assert (raised(lambda: _check_weights(row.copy(), "distribution"))
+                == raised(lambda: reference_check_weights(row, "distribution")))
 
 
 class TestProductChannel:
