@@ -56,7 +56,6 @@ from .errors import (
 from .jsonio import format_csv
 from .relations import (
     ContinuousDomain,
-    DistanceRelation,
     Relation,
     RelationBounds,
     ball_counts,
@@ -521,14 +520,9 @@ def solve_diffusion(inputs: BoundInputs) -> BoundReport:
 
 # -- relation-level bounds --------------------------------------------------
 
-def _default_bounds(joint: JointDistribution, rel: Relation) -> RelationBounds:
-    prior = joint.row_marginal()
-    return relation_bounds(rel, prior, joint.col_outcomes)
-
-
-def _window_consistency(joint: JointDistribution, rel: Relation,
-                        p_min: float, p_max: float) -> float:
-    """Check the independent coupling puts the event inside [p_min, p_max].
+def _window_consistency(q_rel: float, p_min: float, p_max: float) -> float:
+    """Check the independent coupling puts the event inside [p_min, p_max];
+    q_rel is the event's mass under the product of the joint's marginals.
 
     A window of exact masses holds the exact coupling mass. The computed
     q_rel strays from it by the rounding of its products and of their fsum,
@@ -536,7 +530,6 @@ def _window_consistency(joint: JointDistribution, rel: Relation,
     distribution the window came from: each is a distribution only to
     MASS_TOLERANCE, which MASS_TOLERANCE p_max allows for. The slack is
     their sum, whatever the pass/fail tolerance."""
-    q_rel = event_probability(product_of_marginals(joint), rel)
     slack = MASS_TOLERANCE * p_max + 2.0 * sys.float_info.epsilon * q_rel
     if q_rel < p_min - slack or q_rel > p_max + slack:
         raise InconsistentBounds(
@@ -559,11 +552,18 @@ def fano_relation_bound(joint: JointDistribution, rel: Relation,
     induces is recorded in the notes.
     """
     if bounds is None:
-        bounds = _default_bounds(joint, rel)
+        bounds = relation_bounds(rel, joint.row_marginal(), joint.col_outcomes)
     p_min, p_max = _check_window(bounds.p_min, bounds.p_max)
-    _window_consistency(joint, rel, p_min, p_max)
-    p_rel = event_probability(joint, rel)
-    mi_nats = mutual_information(joint)
+    _window_consistency(event_probability(product_of_marginals(joint), rel), p_min, p_max)
+    return _relation_mi_report(event_probability(joint, rel), mutual_information(joint),
+                               p_min, p_max, observation_mi, base, tolerance)
+
+
+def _relation_mi_report(p_rel: float, mi_nats: float, p_min: float, p_max: float,
+                        observation_mi: float | None, base: float,
+                        tolerance: float) -> BoundReport:
+    """fano_relation_bound's report from P(rel) and I(X;Xhat) in nats, on a
+    checked window that the product coupling is consistent with."""
     rhs = _kl_rhs_nats(mi_nats, p_rel, p_min, p_max)
     ln_b = _ln_base(base)
     notes = ""
@@ -590,11 +590,17 @@ def entropy_version_bound(joint: JointDistribution, rel: Relation,
                           base: float = math.e) -> BoundReport:
     """Upper bound on H(X | Xhat) needing no occupancy-window sum condition."""
     if bounds is None:
-        bounds = _default_bounds(joint, rel)
+        bounds = relation_bounds(rel, joint.row_marginal(), joint.col_outcomes)
     p_not = event_probability(joint, lambda x, xhat: not rel(x, xhat))
-    h_x = entropy(joint.row_marginal())
+    return _entropy_version_report(p_not, entropy(joint.row_marginal()),
+                                   conditional_entropy(joint), bounds, base)
+
+
+def _entropy_version_report(p_not: float, h_x: float, observed: float,
+                            bounds: RelationBounds, base: float) -> BoundReport:
+    """entropy_version_bound's report from P(not rel), H(X) and H(X | Xhat)
+    in nats."""
     rhs = _entropy_rhs_nats(h_x, p_not, bounds.p_min, bounds.p_max)
-    observed = conditional_entropy(joint)
     rhs_b, obs_b = _scale(rhs, base), _scale(observed, base)
     return BoundReport(
         mode="check", bound_value=rhs_b, observed=obs_b, slack=rhs_b - obs_b,
@@ -606,14 +612,15 @@ def entropy_version_bound(joint: JointDistribution, rel: Relation,
 
 # -- distance-flavoured bounds ---------------------------------------------
 
-def _check_uniform_rows(joint: JointDistribution) -> int:
-    m = len(joint.row_outcomes)
+def _check_uniform_rows(labels: tuple, rows: list) -> int:
+    """The number of labels, for a row marginal (rows, in label order) that is
+    uniform to UNIFORM_TOLERANCE."""
+    m = len(labels)
     target = 1.0 / m
-    prior = joint.row_marginal()
-    for x, w in zip(prior.outcomes, prior.weights):
-        if abs(float(w) - target) > UNIFORM_TOLERANCE:
+    for x, w in zip(labels, rows):
+        if abs(w - target) > UNIFORM_TOLERANCE:
             raise NonUniformPrior(
-                f"joint: row marginal at {x!r} is {float(w)!r}, expected uniform {target!r}"
+                f"joint: row marginal at {x!r} is {w!r}, expected uniform {target!r}"
             )
     return m
 
@@ -631,10 +638,19 @@ def distance_fano_bound(joint: JointDistribution, rho, t: float,
         raise RangeMismatch(
             "joint: reconstruction alphabet must equal the source alphabet, in order"
         )
-    m = _check_uniform_rows(joint)
+    prior = joint.row_marginal()
+    m = _check_uniform_rows(prior.outcomes, prior.weights.tolist())
     t = float(t)
     p_t = event_probability(joint, lambda x, xhat: rho(x, xhat) > t)
     n_min, n_max = ball_counts(rho, t, joint.row_outcomes)
+    return _distance_report(m, p_t, n_min, n_max, entropy(prior),
+                            conditional_entropy(joint), base)
+
+
+def _distance_report(m: int, p_t: float, n_min: int, n_max: int, h_x: float,
+                     observed: float, base: float) -> BoundReport:
+    """distance_fano_bound's report for m labels from P(rho > t), the ball
+    counts, H(X) and H(X | Xhat) in nats."""
     if n_max == 0:
         raise ZeroVolumeDenominator(
             "rho: no label is within t of any candidate; max ball count is zero"
@@ -646,8 +662,6 @@ def distance_fano_bound(joint: JointDistribution, rho, t: float,
     else:
         spread = p_t * (math.log(m - n_min) - math.log(n_max))
     lhs = binary_entropy(p_t) + spread + math.log(n_max)
-    observed = conditional_entropy(joint)
-    h_x = entropy(joint.row_marginal())
     entropy_route = _entropy_rhs_nats(h_x, p_t, n_min / m, n_max / m)
     uniform_slack = math.log(m) - h_x
     other_route = entropy_route + uniform_slack

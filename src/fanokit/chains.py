@@ -24,12 +24,14 @@ from .distributions import (
     _kron_rows,
     _label_from_json,
     _numbered,
+    _mass,
     _types,
     event_probability,
     joint_from_prior_and_channel,
 )
 from .divergences import (
     _column_fsums,
+    _entropy_nats,
     _fsum,
     _kl_nats,
     _ln_base,
@@ -44,7 +46,6 @@ from .errors import (
     FanoError,
     InconsistentBounds,
     NonUniformPrior,
-    RangeMismatch,
     StateSpaceTooLarge,
 )
 from .jsonio import format_cell
@@ -52,7 +53,8 @@ from .relations import (
     DistanceRelation,
     Relation,
     RelationBounds,
-    ball_counts,
+    _relation_tables,
+    _table_bounds,
     equality_relation,
     relation_bounds,
 )
@@ -250,7 +252,13 @@ def _unit_mass(W: np.ndarray) -> np.ndarray:
 
 
 def enumerate_chain(exp: Experiment) -> ChainSummary:
-    """Exact chain quantities, evaluated by type.
+    """Exact chain quantities, evaluated by type (see _enumerate)."""
+    return _enumerate(exp)[0]
+
+
+def _enumerate(exp: Experiment) -> tuple:
+    """enumerate_chain's summary, and the relation's tables on its (X, Xhat)
+    joint (relations._relation_tables), each pair evaluated once.
 
     The type T of the observation block (its count vector) is a sufficient
     statistic for X under i.i.d. channel uses, so I(X;Y^n) = I(X;T) comes
@@ -298,17 +306,18 @@ def enumerate_chain(exp: Experiment) -> ChainSummary:
                 W[i] = prior_w[i] * (block[i] @ E)
     W = _unit_mass(W)
     joint = JointDistribution(exp.prior.outcomes, xhat_labels, W)
+    tables = _relation_tables(exp.relation, joint.row_outcomes, xhat_labels)
     joint1 = joint_from_prior_and_channel(exp.prior, exp.channel)
     return _in_base(ChainSummary(
         joint_xxhat=joint,
-        p_rel=event_probability(joint, exp.relation),
+        p_rel=_mass(W, tables[0]),
         mi_xy=_mi_nats_from_matrix(_unit_mass(joint_types)),
         mi_y1=_mi_nats_from_matrix(np.asarray(joint1.weights)),
         mi_xxhat=_mi_nats_from_matrix(W),
         h_x_given_xhat=conditional_entropy(joint),
         beta=compute_beta(exp.channel),
         exact=True,
-    ), exp.base)
+    ), exp.base), tables
 
 
 def _in_base(nats: ChainSummary, base: float) -> ChainSummary:
@@ -322,6 +331,11 @@ def _in_base(nats: ChainSummary, base: float) -> ChainSummary:
         mi_xxhat=_scale(nats.mi_xxhat, base),
         h_x_given_xhat=_scale(nats.h_x_given_xhat, base),
         beta=_scale(nats.beta, base))
+
+
+def _stderr(p: float, trials: int) -> float:
+    """The binomial standard error of a Monte Carlo event probability."""
+    return math.sqrt(max(p * (1.0 - p), 0.0) / trials)
 
 
 def _inverse_cdf(cum: np.ndarray, u: np.ndarray,
@@ -402,12 +416,30 @@ def simulate_chain(exp: Experiment, trials: int, seed: int = 0) -> ChainSummary:
     plug-in estimates; beta is exact (a channel property). mc_stderr is the
     binomial standard error of p_rel.
     """
+    joint, xy, blocks = _sample(exp, trials, seed)
+    trials, m = int(trials), len(exp.channel.output_outcomes)
+    p_rel = event_probability(joint, exp.relation)
+    return _in_base(ChainSummary(
+        joint_xxhat=joint,
+        p_rel=p_rel,
+        mi_xy=_mi_nats_from_matrix(xy / trials),
+        mi_y1=_mi_nats_from_matrix(_column_sums(xy, blocks[:, 0], m) / trials),
+        mi_xxhat=_mi_nats_from_matrix(joint.weights),
+        h_x_given_xhat=conditional_entropy(joint),
+        beta=compute_beta(exp.channel),
+        exact=False,
+        mc_stderr=_stderr(p_rel, trials),
+    ), exp.base)
+
+
+def _sample(exp: Experiment, trials: int, seed: int) -> tuple:
+    """simulate_chain's draws: the empirical (X, Xhat) joint, the (x, block)
+    count table and the distinct blocks."""
     trials = int(trials)
     if trials < 1:
         raise FanoError(f"trials: must be >= 1, got {trials!r}")
     rng = np.random.Generator(np.random.Philox(key=[int(seed), 0]))
     nx = len(exp.prior)
-    m = len(exp.channel.output_outcomes)
     n = exp.n_samples
 
     # widened, as x_idx * len(blocks) below must not wrap
@@ -428,21 +460,7 @@ def simulate_chain(exp: Experiment, trials: int, seed: int = 0) -> ChainSummary:
         xhat_idx = _inverse_cdf(np.cumsum(E, axis=1), rng.random(trials), block_of)
         x_xhat = np.bincount(x_idx * k + xhat_idx, minlength=nx * k).reshape(nx, k)
 
-    W = x_xhat / trials
-    joint = JointDistribution(exp.prior.outcomes, xhat_labels, W)
-    p_rel = event_probability(joint, exp.relation)
-    stderr = math.sqrt(max(p_rel * (1.0 - p_rel), 0.0) / trials)
-    return _in_base(ChainSummary(
-        joint_xxhat=joint,
-        p_rel=p_rel,
-        mi_xy=_mi_nats_from_matrix(xy / trials),
-        mi_y1=_mi_nats_from_matrix(_column_sums(xy, blocks[:, 0], m) / trials),
-        mi_xxhat=_mi_nats_from_matrix(W),
-        h_x_given_xhat=conditional_entropy(joint),
-        beta=compute_beta(exp.channel),
-        exact=False,
-        mc_stderr=stderr,
-    ), exp.base)
+    return JointDistribution(exp.prior.outcomes, xhat_labels, x_xhat / trials), xy, blocks
 
 
 def independent_samples_bound(prior: FiniteDistribution, channel: Channel,
@@ -517,75 +535,82 @@ def certify(exp: Experiment, trials: int | None = None, seed: int = 0,
     Whether a bound applies is the bound's own decision: a bound that
     rejects the chain's occupancy window, prior or alphabets is left out.
     """
+    base, n, rel = exp.base, exp.n_samples, exp.relation
     if trials is None:
         try:
             # one enumeration, in nats, for the samples bound as well
-            nats = enumerate_chain(dataclasses.replace(exp, base=math.e))
+            nats, (accepted, exceeds) = _enumerate(dataclasses.replace(exp, base=math.e))
         except StateSpaceTooLarge as exc:
             raise StateSpaceTooLarge(
                 f"{exc}; rerun with trials set to use the Monte Carlo path"
             ) from None
-        summary = _in_base(nats, exp.base)
+        joint, p_rel, stderr = nats.joint_xxhat, nats.p_rel, 0.0
+        mi_xy, beta = _scale(nats.mi_xy, base), _scale(nats.beta, base)
     else:
-        summary = simulate_chain(exp, trials, seed)
-
-    base = exp.base
-    n = exp.n_samples
-    rel = exp.relation
-    joint = summary.joint_xxhat
-    rb = relation_bounds(rel, exp.prior, joint.col_outcomes)
+        # no summary: pass/fail reads none of its plug-in information estimates
+        joint = _sample(exp, trials, seed)[0]
+        accepted = _relation_tables(rel, joint.row_outcomes, joint.col_outcomes)[0]
+        p_rel = _mass(joint.weights, accepted)
+        stderr, beta = _stderr(p_rel, int(trials)), _scale(compute_beta(exp.channel), base)
+    rb = _table_bounds(accepted, exp.prior, joint.col_outcomes)
     # a Monte Carlo p_rel is judged within three standard errors (0 if exact)
-    slack_window = tolerance + 3.0 * summary.mc_stderr
-    mc_note = "" if summary.exact else (
+    slack_window = tolerance + 3.0 * stderr
+    mc_note = "" if trials is None else (
         "observed probability is a Monte Carlo estimate "
-        "(stderr %.17g); judged within 3 standard errors" % summary.mc_stderr)
+        "(stderr %.17g); judged within 3 standard errors" % stderr)
     reports: list = []
 
-    def add(report, instance_id):
-        reports.append(dataclasses.replace(report, instance_id=instance_id))
+    def add(instance_id, report):
+        """The report, copied once: its id set and the Monte Carlo note added."""
+        reports.append(dataclasses.replace(report, instance_id=instance_id, notes="; ".join(
+            filter(None, (report.notes, mc_note)))))
 
     def kl(divergence):
         """p_rel against the KL diffusion bound at this divergence budget."""
-        rep = _bounds.check_kl_diffusion(summary.p_rel, _bounds.BoundInputs(
+        return _bounds.check_kl_diffusion(p_rel, _bounds.BoundInputs(
             divergence=divergence, alpha="kl", p_min=rb.p_min, p_max=rb.p_max,
             base=base), slack_window)
-        return dataclasses.replace(rep, notes="; ".join(filter(None, (rep.notes, mc_note))))
 
+    W = joint.weights
+    rows = _column_fsums(W.T)    # the row marginal, as JointDistribution.row_marginal
     try:
         _bounds._check_window(rb.p_min, rb.p_max)
     except BadPminPmax:
         pass    # no KL-diffusion bound applies at this occupancy window
     else:
-        if summary.exact:
-            add(_bounds.fano_relation_bound(
-                joint, rel, rb, observation_mi=summary.mi_xy, base=base,
-                tolerance=tolerance), "relation-mi-reconstruction")
-            add(kl(summary.mi_xy), "relation-mi-observation")
+        if trials is None:
+            # the event's mass under the product of the marginals, as
+            # product_of_marginals and event_probability give it
+            _bounds._window_consistency(_mass(rows[:, None] * _column_fsums(W), accepted),
+                                        rb.p_min, rb.p_max)
+            add("relation-mi-reconstruction", _bounds._relation_mi_report(
+                p_rel, nats.mi_xxhat, rb.p_min, rb.p_max, mi_xy, base, tolerance))
+            add("relation-mi-observation", kl(mi_xy))
         # exact chains also assert the chain inequalities; a simulated chain's
         # per-use budget is the model's exact single-use mutual information
-        add(_samples_mi_report(nats, n, rb, base, tolerance) if summary.exact else
-            kl(n * _scale(_mi_nats_from_matrix(np.asarray(
-                joint_from_prior_and_channel(exp.prior, exp.channel).weights)), base)),
-            "samples-mi-per-use")
-        add(kl(n * summary.beta), "samples-worst-pair")
-    if not summary.exact:
+        add("samples-mi-per-use", _samples_mi_report(nats, n, rb, base, tolerance)
+            if trials is None else kl(n * _scale(_mi_nats_from_matrix(np.asarray(
+                joint_from_prior_and_channel(exp.prior, exp.channel).weights)), base)))
+        add("samples-worst-pair", kl(n * beta))
+    if trials is not None:
         return reports
-    add(_bounds.entropy_version_bound(joint, rel, rb, base=base), "entropy-version")
-    if isinstance(rel, DistanceRelation):
-        try:
-            add(_bounds.distance_fano_bound(joint, rel.rho, rel.t, base=base),
-                "distance")
-        except (NonUniformPrior, RangeMismatch):
-            return reports
-        _, n_max = ball_counts(rel.rho, rel.t, joint.row_outcomes)
-        p_exceed = event_probability(joint, lambda x, xhat: rel.rho(x, xhat) > rel.t)
-        try:
-            report = _bounds.mi_distance_bound(
-                summary.mi_xy, len(joint.row_outcomes), n_max, p_t=p_exceed,
-                mode="check", base=base, tolerance=tolerance)
-        except DegenerateDenominator:
-            return reports    # the largest ball covers the whole alphabet
-        add(report, "distance-mi")
+    h_x, h_cond = max(0.0, _entropy_nats(rows.tolist())), nats.h_x_given_xhat
+    add("entropy-version", _bounds._entropy_version_report(_mass(W, ~accepted), h_x, h_cond,
+                                                           rb, base))
+    if not isinstance(rel, DistanceRelation) or joint.row_outcomes != joint.col_outcomes:
+        return reports
+    try:
+        m = _bounds._check_uniform_rows(joint.row_outcomes, rows.tolist())
+    except NonUniformPrior:
+        return reports
+    balls, p_t = accepted.sum(axis=1).tolist(), _mass(W, exceeds)
+    add("distance", _bounds._distance_report(m, p_t, min(balls), max(balls), h_x, h_cond, base))
+    try:
+        report = _bounds.mi_distance_bound(mi_xy, m, max(balls), p_t=p_t, mode="check",
+                                           base=base, tolerance=tolerance)
+    except DegenerateDenominator:
+        return reports    # the largest ball covers the whole alphabet
+    add("distance-mi", report)
     return reports
 
 

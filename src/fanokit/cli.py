@@ -99,40 +99,39 @@ def _write_output(text: str, out_path: str | None) -> None:
 
 
 def _emit(args, result) -> None:
-    """Writes a command's result in args.format: a list of bound reports, a
-    sweep summary, or a flat dict of scalars. Table names are padded to 17
-    columns for reports and 14 otherwise; None prints as None in a table and
-    as an empty CSV cell."""
-    if isinstance(result, list):
-        obj = {"reports": {r.instance_id or "report": r.to_json_obj() for r in result}}
-        csv_rows = _bounds.reports_to_rows(result)
-        records = [(r.instance_id, [(name, getattr(r, name)) for name in REPORT_TABLE]
-                    + [("notes", r.notes or "-")]) for r in result]
-        width = 17
+    """Writes a command's result in args.format, building that format's text
+    only: a list of bound reports, a sweep summary, or a flat dict of
+    scalars. Table names are padded to 17 columns for reports and 14
+    otherwise; None prints as None in a table and as an empty CSV cell."""
+    if args.format == "json":
+        text = jsonio.dumps(
+            {"reports": {r.instance_id or "report": r.to_json_obj() for r in result}}
+            if isinstance(result, list) else result if isinstance(result, dict)
+            else result.to_json_obj(include_timing=args.timing))
+    elif isinstance(result, list):
+        text = _bounds.reports_to_csv(result) if args.format == "csv" else _table(
+            [(r.instance_id, [(name, getattr(r, name)) for name in REPORT_TABLE]
+              + [("notes", r.notes or "-")]) for r in result], 17)
     else:
         if isinstance(result, dict):
-            obj = result
-            rows = table = sorted(obj.items())
+            rows = table = sorted(result.items())
         else:
             # a sweep summary, fixed order; the table calls the worst "worst", "-" if none
-            obj = result.to_json_obj(include_timing=args.timing)
             worst = result.worst_instance["id"] if result.worst_instance else None
             rows = [("instances", result.instances), ("violations", result.violations),
                     ("max_violation", result.max_violation), ("worst_id", worst),
                     ("elapsed_ms", result.elapsed_ms)][:5 if args.timing else 4]
             table = rows[:3] + [("worst", worst or "-")] + rows[4:]
-        csv_rows = [[name for name, _ in rows], [value for _, value in rows]]
-        records = [("", table)]
-        width = 14
-    if args.format == "json":
-        text = jsonio.dumps(obj)
-    elif args.format == "csv":
-        text = jsonio.format_csv(csv_rows)
-    else:
-        text = "\n\n".join(("[%s]\n" % title if title else "") + "\n".join(
-            "%-*s %s" % (width, name + ":", jsonio.format_cell(value))
-            for name, value in fields) for title, fields in records)
+        text = (jsonio.format_csv([[name for name, _ in rows], [value for _, value in rows]])
+                if args.format == "csv" else _table([("", table)], 14))
     _write_output(text, args.out)
+
+
+def _table(records, width: int) -> str:
+    """Blocks of "name: value" lines, names padded to width, titled if titled."""
+    return "\n\n".join(("[%s]\n" % title if title else "") + "\n".join(
+        "%-*s %s" % (width, name + ":", jsonio.format_cell(value))
+        for name, value in fields) for title, fields in records)
 
 
 def _tolerance(text: str) -> float:

@@ -196,18 +196,23 @@ def event_probability(dist, predicate: Callable[..., bool]) -> float:
     For a FiniteDistribution the predicate takes one label; for a
     JointDistribution it takes (row_label, col_label).
     """
-    if isinstance(dist, FiniteDistribution):
-        picked = [float(w) for x, w in zip(dist.outcomes, dist.weights) if predicate(x)]
-    elif isinstance(dist, JointDistribution):
-        picked = [
-            float(dist.weights[i, j])
-            for i, x in enumerate(dist.row_outcomes)
-            for j, y in enumerate(dist.col_outcomes)
-            if predicate(x, y)
-        ]
-    else:
+    if isinstance(dist, JointDistribution):
+        return _mass(dist.weights, _pair_table(predicate, dist.row_outcomes, dist.col_outcomes))
+    if not isinstance(dist, FiniteDistribution):
         raise TypeError("event_probability expects a distribution or joint")
-    return min(math.fsum(picked), 1.0)
+    return _mass(dist.weights, np.array([bool(predicate(x)) for x in dist.outcomes]))
+
+
+def _pair_table(predicate: Callable[..., bool], rows, cols) -> np.ndarray:
+    """predicate(x, y) at every pair of labels as a bool matrix, evaluated
+    once per pair in row-major order (so a raise names the first such pair)."""
+    return np.array([bool(predicate(x, y)) for x in rows for y in cols],
+                    dtype=bool).reshape(len(rows), len(cols))
+
+
+def _mass(weights: np.ndarray, table: np.ndarray) -> float:
+    """The fsum of the weights a bool table selects (in any order), capped at 1."""
+    return min(math.fsum(weights[table].tolist()), 1.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -199,8 +199,12 @@ def binary_entropy(p: float, base: float = math.e) -> float:
 def entropy(dist: FiniteDistribution, base: float = math.e) -> float:
     """Shannon entropy of a finite distribution."""
     _ln_base(base)
-    nats = -math.fsum(w * math.log(w) for w in dist.weights.tolist() if w > 0)
-    return _scale(max(0.0, nats), base)
+    return _scale(max(0.0, _entropy_nats(dist.weights.tolist())), base)
+
+
+def _entropy_nats(weights: list) -> float:
+    """-sum w ln w over the positive weights, by fsum (not clamped at 0)."""
+    return -math.fsum(w * math.log(w) for w in weights if w > 0)
 
 
 def _two_sum(a, b):
@@ -287,7 +291,5 @@ def conditional_entropy(joint: JointDistribution, base: float = math.e) -> float
     """H(row | column) = H(joint) - H(column marginal)."""
     _ln_base(base)
     W = np.asarray(joint.weights)
-    h_joint = -math.fsum(w * math.log(w) for w in W.ravel().tolist() if w > 0)
-    c = _column_fsums(W).tolist()
-    h_col = -math.fsum(w * math.log(w) for w in c if w > 0)
-    return _scale(max(0.0, h_joint - h_col), base)
+    h_col = _entropy_nats(_column_fsums(W).tolist())
+    return _scale(max(0.0, _entropy_nats(W.ravel().tolist()) - h_col), base)

@@ -14,7 +14,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .distributions import FiniteDistribution, Label, _label_from_json
+from .distributions import FiniteDistribution, Label, _label_from_json, _pair_table
 from .errors import (
     EmptyCandidateSet,
     FanoError,
@@ -156,17 +156,36 @@ def relation_bounds(rel: Relation, prior: FiniteDistribution,
     candidates = tuple(candidates)
     if not candidates:
         raise EmptyCandidateSet("candidates: at least one reconstruction value is required")
-    best_lo = best_hi = None
-    arg_lo = arg_hi = None
     weights = prior.weights.tolist()
-    for xhat in candidates:
-        mass = math.fsum(w for x, w in zip(prior.outcomes, weights) if w > 0 and rel(x, xhat))
-        mass = min(mass, 1.0)
-        if best_lo is None or mass < best_lo:
-            best_lo, arg_lo = mass, xhat
-        if best_hi is None or mass > best_hi:
-            best_hi, arg_hi = mass, xhat
-    return RelationBounds(best_lo, best_hi, arg_lo, arg_hi)
+    return _extremes([math.fsum(w for x, w in zip(prior.outcomes, weights)
+                                if w > 0 and rel(x, xhat)) for xhat in candidates], candidates)
+
+
+def _extremes(masses: list, candidates: tuple) -> RelationBounds:
+    """relation_bounds from each candidate's acceptance mass, capped at 1 here."""
+    masses = [min(mass, 1.0) for mass in masses]
+    lo, hi = masses.index(min(masses)), masses.index(max(masses))
+    return RelationBounds(masses[lo], masses[hi], candidates[lo], candidates[hi])
+
+
+def _relation_tables(rel: Relation, rows, cols) -> tuple:
+    """The relation at every (x, xhat) pair as a bool table, evaluated once per
+    pair in row-major order (so a raise names the first such pair), and for a
+    distance relation the table of rho > t read from the same rho values
+    (None otherwise; a NaN distance is in neither table)."""
+    if not isinstance(rel, DistanceRelation):
+        return _pair_table(rel, rows, cols), None
+    dist = [rel.rho(x, xhat) for x in rows for xhat in cols]
+    return tuple(np.array(table, dtype=bool).reshape(len(rows), len(cols))
+                 for table in ([d <= rel.t for d in dist], [d > rel.t for d in dist]))
+
+
+def _table_bounds(table: np.ndarray, prior: FiniteDistribution,
+                  candidates: tuple) -> RelationBounds:
+    """relation_bounds from the relation's table, a row per prior outcome and
+    a column per candidate: the same masses, to the bit."""
+    kept = np.where(table, prior.weights[:, None], 0.0).T.tolist()
+    return _extremes([math.fsum(column) for column in kept], candidates)
 
 
 def ball_counts(rho: Callable[[Any, Any], float], t: float,

@@ -773,7 +773,8 @@ class TestSamplesBound:
 
     def test_an_exact_certify_enumerates_once_and_computes_beta_once(self, monkeypatch):
         # the samples bound reads certify's own summary (in nats), beta
-        # included, instead of enumerating the chain again
+        # included, instead of enumerating the chain again; every enumeration,
+        # enumerate_chain's included, runs through _enumerate
         calls = Counter()
 
         def counting(name, fn):
@@ -782,11 +783,11 @@ class TestSamplesBound:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("enumerate_chain", "compute_beta"):
+        for name in ("_enumerate", "compute_beta"):
             monkeypatch.setattr(chains, name, counting(name, getattr(chains, name)))
         ids = [r.instance_id for r in certify(noisy_three())]
         assert "samples-mi-per-use" in ids
-        assert calls == {"enumerate_chain": 1, "compute_beta": 1}
+        assert calls == {"_enumerate": 1, "compute_beta": 1}
 
 
 # radius 1 on these labels: balls {0, 1}, {0, 1}, {3} and {6}, so every
