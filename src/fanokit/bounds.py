@@ -25,6 +25,7 @@ from typing import Any, Optional
 from .distributions import (
     MASS_TOLERANCE,
     JointDistribution,
+    _mass,
     event_probability,
     product_of_marginals,
 )
@@ -56,9 +57,10 @@ from .errors import (
 from .jsonio import format_csv
 from .relations import (
     ContinuousDomain,
+    DistanceRelation,
     Relation,
     RelationBounds,
-    ball_counts,
+    _relation_tables,
     relation_bounds,
     resolve_volume_method,
     sup_ball_volume,
@@ -632,7 +634,9 @@ def distance_fano_bound(joint: JointDistribution, rho, t: float,
 
     The same quantity is recomputed through the entropy-version RHS with the
     ball-count occupancy window plus the uniformity slack; the two routes must
-    agree to 1e-12 (internal consistency check, recorded in notes).
+    agree to 1e-12 (internal consistency check, recorded in notes). rho is
+    read once per pair of labels, in row-major order, for both P(rho > t)
+    and the ball counts, as certify reads it.
     """
     if joint.row_outcomes != joint.col_outcomes:
         raise RangeMismatch(
@@ -640,11 +644,11 @@ def distance_fano_bound(joint: JointDistribution, rho, t: float,
         )
     prior = joint.row_marginal()
     m = _check_uniform_rows(prior.outcomes, prior.weights.tolist())
-    t = float(t)
-    p_t = event_probability(joint, lambda x, xhat: rho(x, xhat) > t)
-    n_min, n_max = ball_counts(rho, t, joint.row_outcomes)
-    return _distance_report(m, p_t, n_min, n_max, entropy(prior),
-                            conditional_entropy(joint), base)
+    accepted, exceeds = _relation_tables(DistanceRelation(rho, t), prior.outcomes,
+                                         prior.outcomes)
+    balls = accepted.sum(axis=1).tolist()
+    return _distance_report(m, _mass(joint.weights, exceeds), min(balls), max(balls),
+                            entropy(prior), conditional_entropy(joint), base)
 
 
 def _distance_report(m: int, p_t: float, n_min: int, n_max: int, h_x: float,

@@ -26,6 +26,8 @@ from .distributions import (
     _numbered,
     _mass,
     _types,
+    channel_from_json,
+    distribution_from_json,
     event_probability,
     joint_from_prior_and_channel,
 )
@@ -38,6 +40,7 @@ from .divergences import (
     _mi_nats_from_matrix,
     _scale,
     conditional_entropy,
+    mutual_information,
 )
 from .errors import (
     BadPminPmax,
@@ -57,6 +60,7 @@ from .relations import (
     _table_bounds,
     equality_relation,
     relation_bounds,
+    relation_from_json,
 )
 from . import bounds as _bounds
 
@@ -298,11 +302,11 @@ def _enumerate(exp: Experiment) -> tuple:
                                                    every_block)
         k = len(xhat_labels)
         block = _kron_rows(exp.channel.matrix, n)
-        W = np.empty((nx, k))
-        for i in range(nx):
-            if picks is not None:
-                W[i] = prior_w[i] * np.bincount(picks, weights=block[i], minlength=k)
-            else:
+        if picks is not None:
+            W = prior_w[:, None] * _column_sums(block, picks, k)
+        else:
+            W = np.empty((nx, k))
+            for i in range(nx):
                 W[i] = prior_w[i] * (block[i] @ E)
     W = _unit_mass(W)
     joint = JointDistribution(exp.prior.outcomes, xhat_labels, W)
@@ -312,7 +316,7 @@ def _enumerate(exp: Experiment) -> tuple:
         joint_xxhat=joint,
         p_rel=_mass(W, tables[0]),
         mi_xy=_mi_nats_from_matrix(_unit_mass(joint_types)),
-        mi_y1=_mi_nats_from_matrix(np.asarray(joint1.weights)),
+        mi_y1=mutual_information(joint1),
         mi_xxhat=_mi_nats_from_matrix(W),
         h_x_given_xhat=conditional_entropy(joint),
         beta=compute_beta(exp.channel),
@@ -387,9 +391,10 @@ DRAW_GROUP = 1 << 18
 
 
 def _column_sums(counts: np.ndarray, group: np.ndarray, k: int) -> np.ndarray:
-    """The columns of an integer count matrix summed within groups: column j
-    goes to group[j] < k. Every partial sum is an integer below 2^53, so the
-    float sums are exact in any order."""
+    """The columns of a count or weight matrix summed within groups: column j
+    goes to group[j] < k. Each sum adds its entries in column order, as a
+    per-row np.bincount does: float weights get its bits, not exact sums;
+    integer counts, whose partial sums stay below 2^53, sum exactly."""
     rows = len(counts)
     keys = group + k * np.arange(rows)[:, None]
     return np.bincount(keys.ravel(), weights=counts.ravel(),
@@ -589,8 +594,8 @@ def certify(exp: Experiment, trials: int | None = None, seed: int = 0,
         # exact chains also assert the chain inequalities; a simulated chain's
         # per-use budget is the model's exact single-use mutual information
         add("samples-mi-per-use", _samples_mi_report(nats, n, rb, base, tolerance)
-            if trials is None else kl(n * _scale(_mi_nats_from_matrix(np.asarray(
-                joint_from_prior_and_channel(exp.prior, exp.channel).weights)), base)))
+            if trials is None else kl(n * mutual_information(
+                joint_from_prior_and_channel(exp.prior, exp.channel), base)))
         add("samples-worst-pair", kl(n * beta))
     if trials is not None:
         return reports
@@ -639,7 +644,6 @@ def random_experiment(seed: int, nx: int = 3, ny: int = 3, n: int = 1,
 # -- JSON parsing -----------------------------------------------------------
 
 def estimator_from_json(obj: dict):
-    from .distributions import channel_from_json
     if not isinstance(obj, dict) or "kind" not in obj:
         raise FanoError('estimator: expected an object with a "kind" field')
     kind = obj["kind"]
@@ -658,11 +662,7 @@ def estimator_from_json(obj: dict):
         if "outputs" in obj:
             outputs = tuple(_label_from_json(v) for v in obj["outputs"])
         else:
-            seen = []
-            for v in mapping.values():
-                if v not in seen:
-                    seen.append(v)
-            outputs = tuple(seen)
+            outputs = tuple(dict.fromkeys(mapping.values()))
         return MapEstimator(mapping, outputs)
     if kind == "channel":
         if "channel" not in obj:
@@ -672,8 +672,6 @@ def estimator_from_json(obj: dict):
 
 
 def experiment_from_json(obj: dict) -> Experiment:
-    from .distributions import channel_from_json, distribution_from_json
-    from .relations import relation_from_json
     for key in ("prior", "channel", "estimator", "relation"):
         if not isinstance(obj, dict) or key not in obj:
             raise FanoError(f'experiment: missing field "{key}"')

@@ -12,6 +12,7 @@ parallelism knob; it is validated if set and otherwise ignored).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -311,7 +312,6 @@ def _cmd_certify(args) -> int:
         obj = dict(obj, base=base)
     exp = _chains.experiment_from_json(obj)
     if args.n is not None:
-        import dataclasses
         exp = dataclasses.replace(exp, n_samples=args.n)
     reports = _chains.certify(exp, trials=args.trials, seed=args.seed,
                               tolerance=args.tolerance)

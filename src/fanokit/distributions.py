@@ -138,13 +138,7 @@ class JointDistribution:
                 "joint: weight matrix shape %r does not match %d x %d labels"
                 % (arr.shape, len(rows), len(cols))
             )
-        if not np.all(np.isfinite(arr)):
-            raise NegativeWeight("joint: weights must be finite")
-        if np.any(arr < 0):
-            raise NegativeWeight("joint: weights must be nonnegative")
-        total = math.fsum(arr.ravel().tolist())
-        if abs(total - 1.0) > MASS_TOLERANCE:
-            raise SumNotOne(f"joint: weights sum to {total!r}, expected 1")
+        _check_rows(arr.reshape(1, -1), lambda _: "joint")
         arr.flags.writeable = False
         object.__setattr__(self, "row_outcomes", rows)
         object.__setattr__(self, "col_outcomes", cols)

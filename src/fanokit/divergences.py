@@ -191,9 +191,8 @@ def binary_renyi_entropy(p: float, alpha: float, base: float = math.e) -> float:
 
 
 def binary_entropy(p: float, base: float = math.e) -> float:
-    p = _check_prob(p, "p")
-    _ln_base(base)
-    return _scale(_binary_entropy_nats(p), base)
+    """Shannon entropy of Bernoulli(p): the order-1 entropy."""
+    return binary_renyi_entropy(p, 1.0, base)
 
 
 def entropy(dist: FiniteDistribution, base: float = math.e) -> float:

@@ -150,22 +150,15 @@ def relation_bounds(rel: Relation, prior: FiniteDistribution,
                     candidates: Sequence[Label]) -> RelationBounds:
     """Scan candidate reconstructions for the extreme acceptance masses.
 
-    Ties keep the first candidate in the given order, so results are
-    deterministic for a fixed candidate sequence.
+    The relation is read once per (x, xhat) pair, zero-weight x included, in
+    row-major order (_relation_tables). Ties keep the first candidate in the
+    given order, so results are deterministic for a fixed candidate sequence.
     """
     candidates = tuple(candidates)
     if not candidates:
         raise EmptyCandidateSet("candidates: at least one reconstruction value is required")
-    weights = prior.weights.tolist()
-    return _extremes([math.fsum(w for x, w in zip(prior.outcomes, weights)
-                                if w > 0 and rel(x, xhat)) for xhat in candidates], candidates)
-
-
-def _extremes(masses: list, candidates: tuple) -> RelationBounds:
-    """relation_bounds from each candidate's acceptance mass, capped at 1 here."""
-    masses = [min(mass, 1.0) for mass in masses]
-    lo, hi = masses.index(min(masses)), masses.index(max(masses))
-    return RelationBounds(masses[lo], masses[hi], candidates[lo], candidates[hi])
+    return _table_bounds(_relation_tables(rel, prior.outcomes, candidates)[0],
+                         prior, candidates)
 
 
 def _relation_tables(rel: Relation, rows, cols) -> tuple:
@@ -183,9 +176,11 @@ def _relation_tables(rel: Relation, rows, cols) -> tuple:
 def _table_bounds(table: np.ndarray, prior: FiniteDistribution,
                   candidates: tuple) -> RelationBounds:
     """relation_bounds from the relation's table, a row per prior outcome and
-    a column per candidate: the same masses, to the bit."""
+    a column per candidate: each candidate's acceptance mass, capped at 1."""
     kept = np.where(table, prior.weights[:, None], 0.0).T.tolist()
-    return _extremes([math.fsum(column) for column in kept], candidates)
+    masses = [min(math.fsum(column), 1.0) for column in kept]
+    lo, hi = masses.index(min(masses)), masses.index(max(masses))
+    return RelationBounds(masses[lo], masses[hi], candidates[lo], candidates[hi])
 
 
 def ball_counts(rho: Callable[[Any, Any], float], t: float,

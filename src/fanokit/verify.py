@@ -52,8 +52,8 @@ from .bounds import (
     _renyi_rhs_nats,
     _window_terms,
 )
-from .distributions import FiniteDistribution, _numbered, _types
-from .divergences import KL_ALPHA_BAND, _check_prob, _kl_nats, _renyi_nats, kl_divergence
+from .distributions import FiniteDistribution, _numbered, _types, event_probability
+from .divergences import KL_ALPHA_BAND, _kl_nats, _renyi_nats, kl_divergence, renyi_divergence
 from .errors import FanoError, GridTooLarge, NumericalInstability
 
 MAX_SWEEP_EVALUATIONS = 5_000_000
@@ -644,11 +644,10 @@ class SupportCheck:
 
 
 def verify_support_bound(P: FiniteDistribution, Q: FiniteDistribution) -> SupportCheck:
-    """KL(P, Q) >= -ln Q(supp P); slack is LHS - RHS, tight for point masses."""
+    """KL(P, Q) >= D_0(P, Q) = -ln Q(supp P), the order-0 divergence; slack
+    is LHS - RHS, tight for point masses."""
     lhs = kl_divergence(P, Q)
-    q_mass = math.fsum(
-        q for p, q in zip(P.weights.tolist(), Q.weights.tolist()) if p > 0)
-    rhs = math.inf if q_mass <= 0.0 else max(0.0, -math.log(min(q_mass, 1.0)))
+    rhs = _renyi_nats(list(zip(P.weights.tolist(), Q.weights.tolist())), 0.0)
     if math.isinf(lhs) and math.isinf(rhs):
         slack = 0.0
     else:
@@ -712,10 +711,7 @@ def verify_limit(P: FiniteDistribution, Q: FiniteDistribution,
     if side not in ("below", "above"):
         raise NumericalInstability(f"side: expected 'below' or 'above', got {side!r}")
     p_min, p_max = _check_window(p_min, p_max)
-    from .divergences import renyi_divergence
-
-    p_event = _check_prob(math.fsum(
-        w for x, w in zip(P.outcomes, P.weights.tolist()) if event(x)), "p")
+    p_event = event_probability(P, event)
     kl_rhs = _kl_rhs_nats(kl_divergence(P, Q), p_event, p_min, p_max)
     rows = []
     for k in range(1, k_max + 1):

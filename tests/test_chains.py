@@ -37,6 +37,7 @@ from fanokit import (
     uniform_distribution,
 )
 from fanokit.chains import (
+    _column_sums,
     _distinct_blocks,
     _inverse_cdf,
     _ml_picks,
@@ -274,6 +275,20 @@ def test_inverse_cdf_matches_a_per_row_search(k, rows, seed):
         assert _inverse_cdf(cum, draws).tolist() == want
     assert _inverse_cdf(cum[0], u[:, 0]).tolist() == [
         min(np.searchsorted(cum[0], v, side="right"), k - 1) for v in u[:, 0]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 5), cols=st.integers(1, 40), k=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 31 - 1))
+def test_column_sums_of_float_weights_are_the_per_row_bincounts(rows, cols, k, seed):
+    # float sums are not exact, but each bin adds its entries in column
+    # order, as the per-row bincount an exact chain's joint once took
+    rng = philox(seed)
+    weights = rng.random((rows, cols)) * 10.0 ** rng.integers(-20, 21, size=(rows, cols))
+    group = rng.integers(k, size=cols)
+    want = np.stack([np.bincount(group, weights=row, minlength=k) for row in weights])
+    assert np.array_equal(_column_sums(weights, group, k).view(np.int64),
+                          want.view(np.int64))
 
 
 def ml_picks_per_block(matrix, blocks):
@@ -720,6 +735,22 @@ class TestJsonLoaders:
     def test_map_outputs_default_to_the_targets_seen(self):
         est = estimator_from_json({"kind": "map", "pairs": [[0, "a"], [1, "b"]]})
         assert est.output_labels == ("a", "b")
+
+    def test_map_outputs_keep_the_first_of_equal_targets(self):
+        # 1, 1.0 and True are one label, as are 0.0 and False, and (1, 2)
+        # and (1.0, 2): the first seen stands for each, as the list scan
+        # the outputs came from before kept it
+        pairs = [[0, 1], [1, "a"], [2, 1.0], [3, True], [4, 0.0], [5, False],
+                 [6, [1, 2]], [7, [1.0, 2]], [8, "a"]]
+        est = estimator_from_json({"kind": "map", "pairs": pairs})
+        seen = []
+        for value in est.mapping.values():
+            if value not in seen:
+                seen.append(value)
+        assert est.output_labels == tuple(seen) == (1, "a", 0.0, (1, 2))
+        assert [type(v) for v in est.output_labels] == [type(v) for v in seen] == [
+            int, str, float, tuple]
+        assert type(est.output_labels[3][0]) is int
 
     def test_bad_estimators(self):
         with pytest.raises(FanoError):

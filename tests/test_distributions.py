@@ -108,6 +108,10 @@ class TestJointDistribution:
         with pytest.raises(Exception):
             JointDistribution((0, 1), (0,), [[0.5, 0.5]])
 
+    def test_mass_off_one_reads_as_for_distributions_and_channels(self):
+        with pytest.raises(SumNotOne, match=r"^joint: weights sum to 0\.875, expected 1\.0$"):
+            JointDistribution((0, 1), (0, 1), [[0.5, 0.25], [0.125, 0.0]])
+
     def test_product_of_marginals(self):
         j = JointDistribution((0, 1), (0, 1), [[0.1, 0.2], [0.3, 0.4]])
         p = product_of_marginals(j)
@@ -210,7 +214,7 @@ def raised(call):
 @given(defective_channels())
 def test_channel_checks_its_matrix_as_a_per_row_loop_would(case):
     # the first bad row decides, with the error the row gives alone; a
-    # distribution's weights are checked as one such row
+    # distribution's weights, and a joint's, are checked as one such row
     labels, matrix = case
     outputs = tuple(range(matrix.shape[1]))
 
@@ -222,6 +226,9 @@ def test_channel_checks_its_matrix_as_a_per_row_loop_would(case):
     for row in matrix:
         assert (raised(lambda: _check_weights(row.copy(), "distribution"))
                 == raised(lambda: reference_check_weights(row, "distribution")))
+    joint = matrix / len(matrix)
+    assert (raised(lambda: JointDistribution(labels, outputs, joint))
+            == raised(lambda: reference_check_weights(joint.ravel(), "joint")))
 
 
 class TestProductChannel:

@@ -336,6 +336,27 @@ def test_binary_kl_is_the_order_one_binary_divergence_bitwise(p, q, base, same):
     assert got.hex() == want.hex()
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.sampled_from([0.0, 1.0, 0.5, 5e-324, 2.0 ** -1040, 1.0 - 2.0 ** -53]),
+                 st.floats(0.0, 1.0)),
+       st.sampled_from([2.0, math.e, 10.0]))
+@example(0.0, 2.0)
+@example(1.0, 10.0)
+@example(5e-324, math.e)
+def test_binary_entropy_is_the_order_one_binary_entropy_bitwise(p, base):
+    got = binary_entropy(p, base)
+    assert got.hex() == binary_renyi_entropy(p, 1.0, base).hex()
+    # binary_entropy's body before it became the order-1 call
+    assert got.hex() == _scale(_binary_entropy_nats(p), base).hex()
+
+
+def test_binary_entropy_validates_as_before():
+    with pytest.raises(OutOfRangeProbability, match="^p: probability must lie in"):
+        binary_entropy(1.2)
+    with pytest.raises(OutOfRangeProbability, match="^base: "):
+        binary_entropy(0.5, base=1.0)
+
+
 @pytest.mark.parametrize("call, error, field", [
     (lambda: binary_kl(1.2, 0.5), OutOfRangeProbability, "p"),
     (lambda: binary_kl(0.5, -0.1), OutOfRangeProbability, "q"),

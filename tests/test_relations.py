@@ -104,6 +104,24 @@ class TestRelationBounds:
         assert (rb.p_min, rb.p_max) == (0.3, 0.7)
         assert (rb.argmin_xhat, rb.argmax_xhat) == (0, 1)
 
+    def test_each_pair_is_read_once_in_row_major_order(self):
+        # zero-weight outcomes included, as certify reads the relation
+        seen = []
+
+        def counting(x, xhat):
+            seen.append((x, xhat))
+            return x == xhat
+        prior = FiniteDistribution((0, 1, 2), (0.5, 0.0, 0.5))
+        rb = relation_bounds(Relation(counting), prior, (2, 0, 1))
+        assert seen == [(x, xhat) for x in (0, 1, 2) for xhat in (2, 0, 1)]
+        assert (rb.p_min, rb.p_max, rb.argmin_xhat, rb.argmax_xhat) == (0.0, 0.5, 1, 2)
+
+    def test_a_table_metric_needs_the_zero_weight_labels_too(self):
+        rho = table_metric([(0, 1, 1.0)])
+        prior = FiniteDistribution((0, 1, 6), (0.5, 0.5, 0.0))
+        with pytest.raises(FanoError, match=r"no entry for pair \(6, 0\)"):
+            relation_bounds(DistanceRelation(rho, 1.0), prior, (0, 1))
+
 
 class TestBallCounts:
     def test_integer_line(self):

@@ -13,6 +13,8 @@ from conftest import dirichlet_pair
 from fanokit import (
     FiniteDistribution,
     SweepSpec,
+    kl_divergence,
+    renyi_divergence,
     sweep_diffusion,
     verify_limit,
     verify_power_sum,
@@ -567,6 +569,29 @@ class TestSupportBound:
             assert c.passed and c.slack >= -1e-12
 
 
+def support_term_before_the_fold(P, Q):
+    """verify_support_bound's right side as it was written inline."""
+    q_mass = math.fsum(
+        q for p, q in zip(P.weights.tolist(), Q.weights.tolist()) if p > 0)
+    return math.inf if q_mass <= 0.0 else max(0.0, -math.log(min(q_mass, 1.0)))
+
+
+SUPPORT_WEIGHTS = st.sampled_from([0.0, 0.0, 1e-300, 1e-12, 0.5, 1.0, 3.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda k: st.tuples(
+    st.lists(SUPPORT_WEIGHTS, min_size=k, max_size=k).filter(any),
+    st.lists(SUPPORT_WEIGHTS, min_size=k, max_size=k).filter(any))))
+def test_the_support_term_is_the_order_zero_divergence(raw):
+    P, Q = (FiniteDistribution(tuple(range(len(w))), [v / math.fsum(w) for v in w])
+            for w in raw)
+    c = verify_support_bound(P, Q)
+    assert c.support_term.hex() == support_term_before_the_fold(P, Q).hex()
+    if not np.array_equal(P.weights, Q.weights):    # else D_0 is 0 by shortcut
+        assert c.support_term.hex() == renyi_divergence(P, Q, 0.0).hex()
+
+
 class TestPowerSum:
     def test_default_grid_is_exactly_clean(self):
         c = verify_power_sum()
@@ -616,6 +641,14 @@ class TestLimitTables:
         # oversized window read as a sign disagreement of the ratio
         with pytest.raises(BadPminPmax, match=message):
             verify_limit(self.P, self.Q, self.event, p_min, p_max)
+
+    def test_the_certain_event_of_a_distribution_over_unit_mass_by_rounding(self):
+        # P is a distribution to the mass tolerance; the event's fsum,
+        # 1.0000000000004001, is capped at 1 as event_probability caps it
+        P = FiniteDistribution((0, 1, 2), (0.3, 0.3, 0.4 + 4e-13))
+        t = verify_limit(P, self.Q, lambda x: True, 0.0, 0.2)
+        assert len(t.rows) == 6
+        assert t.kl_value == _kl_rhs_nats(kl_divergence(P, self.Q), 1.0, 0.0, 0.2)
 
     def test_depth_is_limited_by_the_kl_routing_band(self):
         # ten digits in would land inside the band where orders reroute to
