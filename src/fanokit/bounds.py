@@ -10,13 +10,13 @@ the distance/continuous exceedance bounds) slack = observed - bound_value.
 Either way a report holds iff slack >= -solver_tolerance.
 
 Every bound evaluates one KL kernel (_kl_ratio), one order-alpha ratio
-(_renyi_ratio) and one solver (_feasible_sup). The counting and continuous
-exceedance bounds are the KL bound for the success event read at its
+(_renyi_ratio) and one solver (_feasible_sup); their callers pass in the
+terms that do not depend on the divergence (_event_terms, _window_terms).
+The counting and continuous exceedance bounds are the KL bound for the success event read at its
 complement, under counting measure and volume, through _exceedance_bound.
 """
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -205,14 +205,6 @@ def _log_ratio(p_min: float, p_max: float) -> float:
 
 # -- core right-hand sides (nats) ------------------------------------------
 
-# Entries in each memo table of divergence-free kernel terms. A sweep keys a
-# few dozen events and windows per order; a solve keys one window and about
-# a thousand grid points, which pass through without evicting a sweep's
-# working set from the window table.
-TERM_CACHE_SIZE = 1024
-
-
-@functools.lru_cache(maxsize=TERM_CACHE_SIZE)
 def _event_terms(p: float, alpha: Optional[float]) -> tuple[float, float]:
     """h_alpha(p), the Shannon h(p) for alpha None, and the factor the
     order-alpha numerator keeps: p^alpha + (1-p)^alpha below order one, 1.0
@@ -223,16 +215,11 @@ def _event_terms(p: float, alpha: Optional[float]) -> tuple[float, float]:
     return _binary_renyi_entropy_nats(p, alpha), power_sum
 
 
-@functools.lru_cache(maxsize=TERM_CACHE_SIZE)
 def _window_terms(p_min: float, p_max: float,
                   alpha: Optional[float]) -> tuple[float, float, float]:
     """ln(1 - p_min), the log ratio L = ln((1 - p_min) / p_max) and, for an
     order alpha (None for KL, which gives nan), the denominator
-    expm1((alpha - 1) L) of the cleared order-alpha ratio, inf on overflow.
-
-    The sign of a zero ln(1 - p_min) follows whichever of p_min = 0.0 and
-    -0.0 filled the entry; it never shows, since it is only added to
-    div + h, which is never -0.0."""
+    expm1((alpha - 1) L) of the cleared order-alpha ratio, inf on overflow."""
     log_keep = math.log1p(-p_min)
     log_ratio = _log_ratio(p_min, p_max)
     if alpha is None:
@@ -263,15 +250,15 @@ def _kl_rhs_nats(div: float, p: float, p_min: float, p_max: float) -> float:
 RENYI_ZERO_BAND = 1e-12
 
 
-def _renyi_ratio(div: float, alpha: float, p: float,
-                 p_min: float, p_max: float) -> tuple[float, float, float]:
+def _renyi_ratio(div: float, alpha: float, event: tuple,
+                 window: tuple) -> tuple[float, float, float]:
     """Exponent term a = div + h_alpha(p) + ln(1 - p_min), numerator
     expm1((alpha-1) a) and denominator expm1((alpha-1) ln((1-p_min)/p_max))
     of the cleared order-alpha ratio RHS^alpha = num / den (inf on overflow).
     Dropping the power-sum factor p^a + (1-p)^a from the numerator is only
     sound when the factor is <= 1, i.e. for orders above one."""
-    h, power_sum = _event_terms(p, alpha)
-    log_keep, _, den = _window_terms(p_min, p_max, alpha)
+    h, power_sum = event
+    log_keep, _, den = window
     a_val = div + h + log_keep
     try:
         num = math.expm1((alpha - 1.0) * a_val)
@@ -280,33 +267,35 @@ def _renyi_ratio(div: float, alpha: float, p: float,
     return a_val, num * power_sum, den
 
 
-def _log_cleared_ratio(a_val: float, num: float, den: float, alpha: float,
-                       p: float, p_min: float, p_max: float) -> float:
-    """ln(num / den) of the cleared order-alpha ratio for a > 0, where num,
-    den or their ratio leaves the normal double range. An overflowed term
-    is e^((alpha-1) a) or e^((alpha-1) L) to double precision. A numerator
-    below the normal range is (alpha-1) a times the power-sum factor, short
-    of digits or rounded to 0, so its log comes from the factors."""
+def _log_cleared_ratio(a_val: float, num: float, alpha: float,
+                       event: tuple, window: tuple) -> float:
+    """ln(num / den) of the cleared order-alpha ratio _renyi_ratio returns
+    for a > 0, where num, den or their ratio leaves the normal double range.
+    An overflowed term is e^((alpha-1) a) or e^((alpha-1) L) to double
+    precision. A numerator below the normal range is (alpha-1) a times the
+    power-sum factor, short of digits or rounded to 0, so its log comes from
+    the factors."""
     a1 = alpha - 1.0
+    _, log_ratio, den = window
     if math.isinf(num):
         log_num = a1 * a_val
     elif abs(num) < sys.float_info.min:
-        log_num = math.log(abs(a1)) + math.log(a_val) + math.log(_event_terms(p, alpha)[1])
+        log_num = math.log(abs(a1)) + math.log(a_val) + math.log(event[1])
     else:
         log_num = math.log(abs(num))
     if math.isinf(den):
-        return log_num - a1 * _window_terms(p_min, p_max, alpha)[1]
+        return log_num - a1 * log_ratio
     return log_num - math.log(abs(den))
 
 
-def _renyi_rhs_nats(div: float, alpha: float, p: float,
-                    p_min: float, p_max: float) -> float:
-    """RHS of the order-alpha diffusion bound; raises InconsistentBounds when
-    the exponent combination is negative beyond rounding (divergence too
-    small for the window, so the cleared ratio would be negative). Where
-    num, den or the ratio leaves the normal double range, the ratio is
-    taken in logs; inf where the bound passes the double range."""
-    a_val, num, den = _renyi_ratio(div, alpha, p, p_min, p_max)
+def _renyi_bound(div: float, alpha: float, event: tuple, window: tuple) -> float:
+    """RHS of the order-alpha diffusion bound from the event and window
+    terms (_renyi_ratio); raises InconsistentBounds when the exponent
+    combination is negative beyond rounding (divergence too small for the
+    window, so the cleared ratio would be negative). Where num, den or the
+    ratio leaves the normal double range, the ratio is taken in logs; inf
+    where the bound passes the double range."""
+    a_val, num, den = _renyi_ratio(div, alpha, event, window)
     if a_val <= 0.0:
         if a_val >= -RENYI_ZERO_BAND:
             return 0.0
@@ -323,10 +312,16 @@ def _renyi_rhs_nats(div: float, alpha: float, p: float,
             )
         if sys.float_info.min <= ratio < math.inf:
             return ratio ** (1.0 / alpha)
-        return math.exp(
-            _log_cleared_ratio(a_val, num, den, alpha, p, p_min, p_max) / alpha)
+        return math.exp(_log_cleared_ratio(a_val, num, alpha, event, window) / alpha)
     except OverflowError:     # the root of a huge ratio at a small order
         return math.inf
+
+
+def _renyi_rhs_nats(div: float, alpha: float, p: float,
+                    p_min: float, p_max: float) -> float:
+    """_renyi_bound at event probability p in the window (p_min, p_max)."""
+    return _renyi_bound(div, alpha, _event_terms(p, alpha),
+                        _window_terms(p_min, p_max, alpha))
 
 
 # The float exponent a = div + h_alpha(p) + ln(1 - p_min) lies within
@@ -337,8 +332,8 @@ def _renyi_rhs_nats(div: float, alpha: float, p: float,
 EXPONENT_ROUNDING = 8.0
 
 
-def _refuse_rounded_zero(div: float, alpha: float, p: float, p_min: float,
-                         p_max: float, tolerance: float, instance: str) -> None:
+def _refuse_rounded_zero(div: float, alpha: float, p: float, event: tuple,
+                         window: tuple, tolerance: float, instance: str) -> None:
     """Raises NumericalInstability, naming the instance, where an order-alpha
     bound that came back as exactly 0 would report a positive p as violated
     (p > tolerance) but holds once its exponent a is raised by its rounding
@@ -346,8 +341,8 @@ def _refuse_rounded_zero(div: float, alpha: float, p: float, p_min: float,
     if p <= 0.0 or p <= tolerance:
         return
     delta = EXPONENT_ROUNDING * sys.float_info.epsilon * (
-        abs(div) + _event_terms(p, alpha)[0] + abs(_window_terms(p_min, p_max, alpha)[0]))
-    if p - _renyi_rhs_nats(div + delta, alpha, p, p_min, p_max) <= tolerance:
+        abs(div) + event[0] + abs(window[0]))
+    if p - _renyi_bound(div + delta, alpha, event, window) <= tolerance:
         raise NumericalInstability(
             f"alpha: {instance}: the order-{alpha!r} bound is 0 only within the "
             f"rounding of its exponent and holds at p = {p!r} once the exponent "
@@ -388,7 +383,8 @@ def _check_diffusion(p: float, inputs: BoundInputs, tolerance: float,
         rhs = (_kl_rhs_nats(div, p, p_min, p_max) if kl
                else _renyi_rhs_nats(div, alpha, p, p_min, p_max))
         if not kl and rhs == 0.0:
-            _refuse_rounded_zero(div, alpha, p, p_min, p_max, tolerance,
+            _refuse_rounded_zero(div, alpha, p, _event_terms(p, alpha),
+                                 _window_terms(p_min, p_max, alpha), tolerance,
                                  "window (%r, %r)" % (p_min, p_max))
         parts = []
         if not kl and alpha < 1.0:
@@ -490,17 +486,21 @@ def solve_diffusion(inputs: BoundInputs) -> BoundReport:
         )
     div_nats = div * _ln_base(inputs.base)
 
+    window = _window_terms(p_min, p_max, None if is_kl else alpha)
     if is_kl:
+        log_keep, log_ratio, _ = window
         # the KL margin is concave with its maximum at p_max / (p_max + 1 - p_min)
-        sup = _feasible_sup(lambda p: _kl_rhs_nats(div_nats, p, p_min, p_max) - p,
-                            p_max / (p_max + 1.0 - p_min))
+        sup = _feasible_sup(
+            lambda p: _kl_ratio(div_nats, _event_terms(p, None)[0], log_keep, log_ratio) - p,
+            p_max / (p_max + 1.0 - p_min))
     else:
         sign = 1.0 if alpha > 1.0 else -1.0
 
         def g(p: float) -> float:
             # cleared-denominator feasibility margin; same sign as RHS(p) - p
             # wherever the RHS is defined, never NaN on [0, 1]
-            a_val, num, den = _renyi_ratio(div_nats, alpha, p, p_min, p_max)
+            event = _event_terms(p, alpha)
+            a_val, num, den = _renyi_ratio(div_nats, alpha, event, window)
             if not math.isinf(den):
                 return sign * (num - (p ** alpha) * den)
             # den overflowed (orders above one): compare num >= p^alpha den in logs
@@ -508,8 +508,7 @@ def solve_diffusion(inputs: BoundInputs) -> BoundReport:
                 return num
             if num <= 0.0:
                 return -1.0
-            return (_log_cleared_ratio(a_val, num, den, alpha, p, p_min, p_max)
-                    - alpha * math.log(p))
+            return _log_cleared_ratio(a_val, num, alpha, event, window) - alpha * math.log(p)
 
         sup = _feasible_sup(g, None)
     return BoundReport(

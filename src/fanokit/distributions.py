@@ -33,11 +33,10 @@ def _check_labels(labels: Iterable[Label], what: str) -> tuple:
     return out
 
 
-def _check_rows(rows: np.ndarray, what: Callable[[int], str],
-                expect_total: float = 1.0) -> None:
+def _check_rows(rows: np.ndarray, what: Callable[[int], str]) -> None:
     """Every row of a 2-D weight array must be finite, nonnegative and sum
-    (by fsum) to expect_total; the first row that is not raises, named
-    what(i). Finiteness and sign are checked for the whole array at once."""
+    (by fsum, inf past the doubles) to 1; the first row that is not raises,
+    named what(i). Finiteness and sign are checked for the whole array at once."""
     finite = np.isfinite(rows).all(axis=1).tolist()
     signed = (rows >= 0).all(axis=1).tolist()
     for i, (row, is_finite, is_signed) in enumerate(zip(rows, finite, signed)):
@@ -45,16 +44,19 @@ def _check_rows(rows: np.ndarray, what: Callable[[int], str],
             raise NegativeWeight(f"{what(i)}: weights must be finite")
         if not is_signed:
             raise NegativeWeight(f"{what(i)}: weights must be nonnegative")
-        total = math.fsum(row.tolist())
-        if abs(total - expect_total) > MASS_TOLERANCE:
-            raise SumNotOne(f"{what(i)}: weights sum to {total!r}, expected {expect_total}")
+        try:
+            total = math.fsum(row.tolist())
+        except OverflowError:
+            total = math.inf
+        if abs(total - 1.0) > MASS_TOLERANCE:
+            raise SumNotOne(f"{what(i)}: weights sum to {total!r}, expected 1.0")
 
 
-def _check_weights(weights, what: str, expect_total: float = 1.0) -> np.ndarray:
+def _check_weights(weights, what: str) -> np.ndarray:
     arr = np.array(weights, dtype=np.float64)
     if arr.ndim != 1:
         raise NegativeWeight(f"{what}: weights must be a flat sequence")
-    _check_rows(arr[None], lambda _: what, expect_total)
+    _check_rows(arr[None], lambda _: what)
     arr.flags.writeable = False
     return arr
 
@@ -107,7 +109,10 @@ def make_distribution(labels: Sequence[Label], weights: Sequence[float],
         arr = [float(w) for w in weights]
         if any(w < 0 or not math.isfinite(w) for w in arr):
             raise NegativeWeight("weights: must be finite and nonnegative")
-        total = math.fsum(arr)
+        try:
+            total = math.fsum(arr)
+        except OverflowError:
+            raise SumNotOne("weights: sum to inf, too large to renormalize") from None
         if total <= 0:
             raise SumNotOne("weights: total mass must be positive to renormalize")
         weights = [w / total for w in arr]

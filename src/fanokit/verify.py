@@ -39,7 +39,7 @@ import itertools
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -47,8 +47,10 @@ import numpy as np
 from .bounds import (
     _check_window,
     _event_terms,
+    _kl_ratio,
     _kl_rhs_nats,
     _refuse_rounded_zero,
+    _renyi_bound,
     _renyi_rhs_nats,
     _window_terms,
 )
@@ -135,7 +137,7 @@ def _planned_instances(spec: SweepSpec, tables: dict | None = None) -> int:
 def _event_masses(parts: np.ndarray, members: np.ndarray, d: int) -> tuple:
     """(masses, index): the mass math.fsum(parts[r, i] / d for i in E) of
     event E (row e of the 0/1 (event, outcome) matrix members) under row r
-    of integer parts is masses[index[r, e]].
+    of integer parts is masses[index[r, e]], and masses holds each value once.
 
     fsum rounds correctly, so a mass depends only on the multiset of E's
     parts: one fsum per distinct multiset. A network of elementwise min and
@@ -158,7 +160,8 @@ def _event_masses(parts: np.ndarray, members: np.ndarray, d: int) -> tuple:
     codes, index = _numbered(code, (d + 1) ** (k - 1))
     masses = np.array([math.fsum(c // (d + 1) ** i % (d + 1) / d for i in range(k))
                        for c in codes.tolist()])
-    return masses, index
+    masses, distinct = np.unique(masses, return_inverse=True)
+    return masses, distinct[index]
 
 
 class _EventTables(NamedTuple):
@@ -478,10 +481,10 @@ def _sweep_outcome_count(k: int, d: int, orders, tally: _Tally,
     alphas = [alpha for _, alpha in orders]
     n_orders = len(orders)
 
-    # window terms as (order, 1, window) arrays, from each distinct window's
-    # _window_terms; orders as (order, 1, 1)
-    w_terms = np.array([[_window_terms(p_min, p_max, alpha) for _, p_min, p_max in distinct]
-                        for alpha in alphas])[:, None]
+    # each distinct window's _window_terms per order, and as (order, 1,
+    # window) arrays; orders as (order, 1, 1)
+    window_terms = [[_window_terms(*window[1:], alpha) for window in distinct] for alpha in alphas]
+    w_terms = np.array(window_terms)[:, None]
     log_keep, log_ratio, den = (w_terms[..., 0][..., w_d], w_terms[0, 0, w_d, 1],
                                 w_terms[1:, ..., 2][..., w_d])
     alpha = np.array(alphas[1:], dtype=float).reshape(-1, 1, 1)
@@ -582,26 +585,27 @@ def _sweep_outcome_count(k: int, d: int, orders, tally: _Tally,
                     tally.violations += w_size_list[w] * (low > tolerance)
                     continue
                 row += r0
-                qi, mi = w_q_list[w], w_m_list[w]
-                tag, p_min, p_max = distinct[w_d_list[w]]
+                qi, mi, wd = w_q_list[w], w_m_list[w], w_d_list[w]
+                tag, p_min, p_max = distinct[wd]
                 alpha_key, alpha = orders[j]
                 div = divs.get((row, qi, j))
                 if div is None:
                     atoms = list(zip(p_vecs[row], q_vecs[qi]))
                     div = divs[row, qi, j] = (_kl_nats(atoms) if alpha is None
                                               else _renyi_nats(atoms, alpha))
-                p_event = p_events[e_rows[row][mi]]
+                e = e_rows[row][mi]
+                p_event, event, terms = p_events[e], e_terms[j][e], window_terms[j][wd]
                 image = None
                 try:
                     if alpha is None:
-                        rhs = _kl_rhs_nats(div, p_event, p_min, p_max)
+                        rhs = _kl_ratio(div, event[0], terms[0], terms[1])
                     else:
-                        rhs = _renyi_rhs_nats(div, alpha, p_event, p_min, p_max)
+                        rhs = _renyi_bound(div, alpha, event, terms)
                     excess = p_event - rhs
                     if excess > tolerance and rhs == 0.0 and alpha is not None:
                         image = _first_image(p_list[row], q_list[qi], masks[mi])
                         _refuse_rounded_zero(
-                            div, alpha, p_event, p_min, p_max, tolerance,
+                            div, alpha, p_event, event, terms, tolerance,
                             "instance " + _instance_id(k, *image, tag, alpha_key))
                 except FanoError as exc:
                     image = image or _first_image(p_list[row], q_list[qi], masks[mi])

@@ -26,3 +26,20 @@ def bsc(flip: float) -> Channel:
 @pytest.fixture
 def uniform4():
     return uniform_distribution(("a", "b", "c", "d"))
+
+
+class KeyedTerms(tuple):
+    """Kernel terms that carry the arguments they were computed from, so a
+    stand-in kernel can read the event probability or the window behind
+    them."""
+    key: tuple = ()
+
+
+def keyed(terms_of):
+    """terms_of (bounds._event_terms or bounds._window_terms), returning
+    KeyedTerms keyed by its arguments."""
+    def terms(*args):
+        out = KeyedTerms(terms_of(*args))
+        out.key = args
+        return out
+    return terms

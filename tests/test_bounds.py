@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import philox
+from conftest import keyed, philox
 from fanokit import bounds, verify
 from fanokit import (
     BoundInputs,
@@ -54,7 +54,6 @@ from fanokit.bounds import (
     RENYI_ZERO_BAND,
     SOLVE_GRID_POINTS,
     SOLVE_TOLERANCE,
-    TERM_CACHE_SIZE,
     _bisect_boundary,
     _event_terms,
     _kl_rhs_nats,
@@ -921,27 +920,27 @@ def key_forms(x):
     return (x,)
 
 
-def fill_term_tables():
-    """Distinct keys past TERM_CACHE_SIZE: every later key evicts one."""
-    for i in range(TERM_CACHE_SIZE + 8):
-        p = i / (4.0 * TERM_CACHE_SIZE)
-        _kl_rhs_nats(0.5, p, 0.0, 0.25 + p)
-        _renyi_ratio(0.5, 3.0, p, 0.0, 0.25 + p)
-    assert _event_terms.cache_info().currsize == TERM_CACHE_SIZE
-    assert _window_terms.cache_info().currsize == TERM_CACHE_SIZE
-
-
 SMALL_SWEEP = SweepSpec(outcome_counts=(2, 3), weight_grid_denominator=4,
                         alphas=(0.5, 2.0))
 
 
 def uncached_run(module, run):
     """run() with the kernels the given fanokit module calls swapped for
-    the bodies as written before memoisation."""
+    the bodies as written before memoisation. The order-alpha kernels take
+    terms, so the term functions there key their terms by their arguments,
+    and the bodies read p and the window back from the keys."""
+    swaps = {
+        "_event_terms": keyed(bounds._event_terms),
+        "_window_terms": keyed(bounds._window_terms),
+        "_kl_rhs_nats": kl_rhs_reference,
+        "_renyi_ratio": lambda div, alpha, event, window: renyi_ratio_reference(
+            div, alpha, event.key[0], *window.key[:2]),
+        "_renyi_bound": lambda div, alpha, event, window: renyi_rhs_reference(
+            div, alpha, event.key[0], *window.key[:2]),
+        "_renyi_rhs_nats": renyi_rhs_reference,
+    }
     with pytest.MonkeyPatch.context() as patch:
-        for name, reference in (("_kl_rhs_nats", kl_rhs_reference),
-                                ("_renyi_ratio", renyi_ratio_reference),
-                                ("_renyi_rhs_nats", renyi_rhs_reference)):
+        for name, reference in swaps.items():
             if hasattr(module, name):
                 patch.setattr(module, name, reference)
         return run()
@@ -955,12 +954,10 @@ def uncached_run(module, run):
            st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
            st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 0.9)),
            st.floats(1e-6, 0.999)), min_size=1, max_size=6),
-       fill=st.booleans(), interleave=st.booleans())
+       interleave=st.booleans())
 # h_72(1/2) + ln(1/2) is exactly 0: the check refuses this bound, memoised or not
-@example(calls=[(0.0, 72.0, 0.5, 0.5, 0.75)], fill=False, interleave=False)
-def test_memoised_kernels_match_the_uncached_bodies(calls, fill, interleave):
-    if fill:
-        fill_term_tables()
+@example(calls=[(0.0, 72.0, 0.5, 0.5, 0.75)], interleave=False)
+def test_memoised_kernels_match_the_uncached_bodies(calls, interleave):
     for div, alpha, p, p_min, share in calls:
         if not p_min + (1.0 - p_min) * share < 1.0:
             continue
@@ -972,7 +969,7 @@ def test_memoised_kernels_match_the_uncached_bodies(calls, fill, interleave):
             want = repr(kl_rhs_reference(d, q, lo, hi))
             assert repr(_kl_rhs_nats(d, q, lo, hi)) == want
             assert repr(check_kl_diffusion(q, inputs).bound_value) == want
-            assert (repr(_renyi_ratio(d, a, q, lo, hi))
+            assert (repr(_renyi_ratio(d, a, _event_terms(q, a), _window_terms(lo, hi, a)))
                     == repr(renyi_ratio_reference(d, a, q, lo, hi)))
             if not (denominator_overflows(a, lo, hi)
                     or ratio_leaves_the_normal_range(d, a, q, lo, hi)):
@@ -986,8 +983,8 @@ def test_memoised_kernels_match_the_uncached_bodies(calls, fill, interleave):
                 assert (repr(outcome(check))
                         == repr(outcome(lambda: uncached_run(bounds, check))))
         if interleave:
-            # solves pass a thousand grid keys through the tables between
-            # sweeps, whose keys then come back
+            # a solve takes its window's terms once and a sweep's rescans
+            # read the terms its vector pass built
             for a in ("kl", alpha):
                 inputs = BoundInputs(div, a, p_min, (1.0 - p_min) * share)
                 got = outcome(lambda: solve_diffusion(inputs).feasible_sup)
@@ -1066,7 +1063,8 @@ def exponent_mpmath(div, alpha, p, p_min):
 @example(ROUNDED_ZERO)
 def test_the_order_alpha_exponent_is_within_its_rounding_bound(instance):
     div, alpha, p, p_min, p_max = instance
-    got = _renyi_ratio(div, alpha, p, p_min, p_max)[0]
+    event, window = _event_terms(p, alpha), _window_terms(p_min, p_max, alpha)
+    got = _renyi_ratio(div, alpha, event, window)[0]
     delta = EXPONENT_ROUNDING * sys.float_info.epsilon * (
         abs(div) + _binary_renyi_entropy_nats(p, alpha) + abs(math.log1p(-p_min)))
     with mpmath.workdps(60):

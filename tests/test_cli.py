@@ -305,6 +305,18 @@ class TestErrors:
         assert "argument --tolerance: tolerance: " in capsys.readouterr().err
         assert main(argv + ["--tolerance", "inf"]) == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["divergence", '{"outcomes": [0, 1], "weights": [1e308, 1e308]}', Q_JSON],
+        ["certify", json.dumps(dict(TestCertify.EXPERIMENT, prior={
+            "outcomes": [0, 1, 2], "weights": [1e308, 1e308, 1e308]}))],
+    ], ids=lambda argv: argv[0])
+    def test_weights_whose_sum_overflows_are_a_usage_error(self, argv):
+        # finite weights pass the finiteness check; their fsum passes the
+        # doubles, which must not read as a violated bound (exit 1)
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, "")
+        assert err == "error: distribution: weights sum to inf, expected 1.0\n"
+
     def test_window_errors_surface_as_usage_errors(self):
         code, _, err = run_cli(
             "bound", '{"divergence": 0.1, "p_min": 0.5, "p_max": 0.5, "p": 0.5}'

@@ -88,6 +88,9 @@ class TestFiniteDistribution:
             make_distribution((0, 1), (2.0, 6.0))
         d = make_distribution((0, 1), (2.0, 6.0), renormalize=True)
         assert d.probability(0) == 0.25
+        # finite weights whose sum passes the doubles
+        with pytest.raises(SumNotOne, match="^weights: sum to inf"):
+            make_distribution((0, 1), (1e308, 1e308), renormalize=True)
 
     @settings(derandomize=True, max_examples=50)
     @given(st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=1, max_size=8))
@@ -191,13 +194,16 @@ def defective_channels(draw):
 
 def reference_check_weights(row, what):
     """One row's weight checks, value by value: finite, then nonnegative,
-    then an fsum within MASS_TOLERANCE of 1."""
+    then an fsum within MASS_TOLERANCE of 1, inf where it overflows."""
     values = [float(v) for v in row]
     if not all(math.isfinite(v) for v in values):
         raise NegativeWeight(f"{what}: weights must be finite")
     if any(v < 0 for v in values):
         raise NegativeWeight(f"{what}: weights must be nonnegative")
-    total = math.fsum(values)
+    try:
+        total = math.fsum(values)
+    except OverflowError:
+        total = math.inf
     if abs(total - 1.0) > MASS_TOLERANCE:
         raise SumNotOne(f"{what}: weights sum to {total!r}, expected 1.0")
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import dirichlet_pair
+from conftest import dirichlet_pair, keyed
 from fanokit import (
     FiniteDistribution,
     SweepSpec,
@@ -21,10 +21,16 @@ from fanokit import (
     verify_support_bound,
 )
 from fanokit.errors import BadPminPmax, FanoError, GridTooLarge, NumericalInstability
-from fanokit.bounds import _kl_rhs_nats, _refuse_rounded_zero, _renyi_rhs_nats
+from fanokit.bounds import (
+    _event_terms,
+    _kl_rhs_nats,
+    _refuse_rounded_zero,
+    _renyi_rhs_nats,
+    _window_terms,
+)
 from fanokit.distributions import _numbered
 from fanokit.divergences import _kl_nats, _renyi_nats
-from fanokit import verify
+from fanokit import bounds, verify
 from fanokit.verify import _planned_instances
 
 
@@ -73,7 +79,8 @@ def sweep_reference(spec):
                             if excess > spec.tolerance:
                                 if rhs == 0.0 and alpha is not None:
                                     _refuse_rounded_zero(
-                                        div, alpha, p_event, p_min, p_max, spec.tolerance,
+                                        div, alpha, p_event, _event_terms(p_event, alpha),
+                                        _window_terms(p_min, p_max, alpha), spec.tolerance,
                                         "instance " + reference_id(
                                             k, p_parts, q_parts, mask, tag, alpha_key))
                                 violations += 1
@@ -214,15 +221,50 @@ class TestSweep:
         # with an exponent near 0
         calls = []
         with pytest.MonkeyPatch.context() as patch:
-            for name in ("_kl_rhs_nats", "_renyi_rhs_nats", "_kl_nats", "_renyi_nats"):
+            for name in ("_kl_ratio", "_renyi_bound", "_kl_nats", "_renyi_nats"):
                 kernel = getattr(verify, name)
                 patch.setattr(verify, name, lambda *args, kernel=kernel, name=name: (
                     calls.append(name), kernel(*args))[1])
             s = sweep_diffusion(SweepSpec())
-        rhs_calls = calls.count("_kl_rhs_nats") + calls.count("_renyi_rhs_nats")
+        rhs_calls = calls.count("_kl_ratio") + calls.count("_renyi_bound")
         assert s.instances == 615_600
         assert 0 < rhs_calls < 0.01 * s.instances
         assert len(calls) - rhs_calls <= rhs_calls
+
+    def test_the_default_sweep_takes_each_kernel_term_once_per_key(self):
+        # the rescans read the terms the vector pass built: within each k,
+        # the event terms run once per (P(E), order) and the window terms
+        # once per (window, order), for every P(E) and window the k has
+        spec = SweepSpec()
+        terms_of = {name: getattr(bounds, name) for name in ("_event_terms", "_window_terms")}
+        real_count = verify._sweep_outcome_count
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            for module in (bounds, verify):
+                for name, real in terms_of.items():
+                    patch.setattr(module, name, lambda *key, name=name, real=real: (
+                        calls.append((name, key)), real(*key))[1])
+            patch.setattr(verify, "_sweep_outcome_count", lambda k, *args: (
+                calls.append(("k", k)), real_count(k, *args))[1])
+            sweep_diffusion(spec)
+        d = spec.weight_grid_denominator
+        orders = (None,) + spec.alphas
+        per_k = [[]]
+        for name, key in calls:
+            if name == "k":
+                per_k.append([])
+            else:
+                per_k[-1].append((name, key))
+        assert per_k[0] == [] and len(per_k) == len(spec.outcome_counts) + 1
+        for k, k_calls in zip(sorted(spec.outcome_counts), per_k[1:]):
+            tables = verify._event_tables(k, d)
+            masses = {math.fsum(parts[i] / d for i in range(k) if mask >> i & 1)
+                      for parts in tables.p_grid.tolist() for mask in tables.masks}
+            want = ([("_window_terms", (p_min, p_max, alpha))
+                     for _, p_min, p_max in tables.distinct for alpha in orders]
+                    + [("_event_terms", (p, alpha)) for p in masses for alpha in orders])
+            assert len(k_calls) == len(set(k_calls)), k
+            assert set(k_calls) == set(want), k
 
     def test_a_nan_tolerance_is_refused(self):
         # every comparison with NaN is false: the sweep would pass everything
@@ -289,18 +331,28 @@ class TestSweep:
         # p0.0.3-q1.1.1-e5, comes after p0.0.3-q1.1.1-e4 (tight), the image
         # of the later evaluation p3.0.0-q1.1.1-e1: the error must be the
         # tight window's. Bands this wide send every order evaluation to the
-        # scalar kernels, as a real raise's infinite band does.
-        real = verify._renyi_rhs_nats
+        # scalar kernels, as a real raise's infinite band does. The sweep's
+        # kernel takes terms, keyed here by P(E) and the window.
+        real, real_bound = _renyi_rhs_nats, verify._renyi_bound
 
-        def raising(div, alpha, p_event, p_min, p_max):
+        def refuse_certain(p_event, p_min, p_max):
             if p_event == 1.0:
                 raise NumericalInstability(f"P(E) = 1 in window ({p_min!r}, {p_max!r})")
+
+        def raising(div, alpha, p_event, p_min, p_max):
+            refuse_certain(p_event, p_min, p_max)
             return real(div, alpha, p_event, p_min, p_max)
+
+        def raising_bound(div, alpha, event, window):
+            refuse_certain(event.key[0], *window.key[:2])
+            return real_bound(div, alpha, event, window)
 
         spec = SweepSpec(outcome_counts=(3,), weight_grid_denominator=3, alphas=(2.0,))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(verify, "TRANSCENDENTAL_ULPS", 1e16)
-            patch.setattr(verify, "_renyi_rhs_nats", raising)
+            patch.setattr(verify, "_event_terms", keyed(_event_terms))
+            patch.setattr(verify, "_window_terms", keyed(_window_terms))
+            patch.setattr(verify, "_renyi_bound", raising_bound)
             patch.setattr(sys.modules[__name__], "_renyi_rhs_nats", raising)
             got = outcome(lambda: summary_tuple(sweep_diffusion(spec)))
             assert got == outcome(lambda: sweep_reference(spec))
