@@ -37,7 +37,6 @@ from .divergences import (
     _check_prob,
     _ln_base,
     _scale,
-    binary_entropy,
     conditional_entropy,
     entropy,
     mutual_information,
@@ -364,7 +363,7 @@ def _entropy_rhs_nats(h_x: float, p_not: float, p_min: float, p_max: float) -> f
         term = -math.inf
     else:
         term = p_not * _log_ratio(p_min, p_max)
-    return h_x + math.log(p_max) + binary_entropy(p_not) + term
+    return h_x + math.log(p_max) + _binary_entropy_nats(p_not) + term
 
 
 # -- diffusion checks -------------------------------------------------------
@@ -476,24 +475,18 @@ def solve_diffusion(inputs: BoundInputs) -> BoundReport:
     div = _check_divergence(inputs.divergence)
     is_kl = isinstance(inputs.alpha, str) and inputs.alpha.lower() == "kl"
     alpha = "kl" if is_kl else _check_order(inputs.alpha)
-    if math.isinf(div):
-        return BoundReport(
-            mode="solve", bound_value=1.0, feasible_sup=1.0,
-            solver_tolerance=SOLVE_TOLERANCE,
-            notes="divergence is infinite; every p is feasible (vacuous)",
-            alpha=alpha, p_min=p_min, p_max=p_max,
-            divergence=inputs.divergence,
-        )
     div_nats = div * _ln_base(inputs.base)
-
-    window = _window_terms(p_min, p_max, None if is_kl else alpha)
-    if is_kl:
-        log_keep, log_ratio, _ = window
+    notes = ""
+    if math.isinf(div):
+        sup, notes = 1.0, "divergence is infinite; every p is feasible (vacuous)"
+    elif is_kl:
+        log_keep, log_ratio, _ = _window_terms(p_min, p_max, None)
         # the KL margin is concave with its maximum at p_max / (p_max + 1 - p_min)
         sup = _feasible_sup(
             lambda p: _kl_ratio(div_nats, _event_terms(p, None)[0], log_keep, log_ratio) - p,
             p_max / (p_max + 1.0 - p_min))
     else:
+        window = _window_terms(p_min, p_max, alpha)
         sign = 1.0 if alpha > 1.0 else -1.0
 
         def g(p: float) -> float:
@@ -513,7 +506,7 @@ def solve_diffusion(inputs: BoundInputs) -> BoundReport:
         sup = _feasible_sup(g, None)
     return BoundReport(
         mode="solve", bound_value=sup, feasible_sup=sup,
-        solver_tolerance=SOLVE_TOLERANCE, notes="",
+        solver_tolerance=SOLVE_TOLERANCE, notes=notes,
         alpha=alpha, p_min=p_min, p_max=p_max,
         divergence=inputs.divergence,
     )
@@ -664,7 +657,7 @@ def _distance_report(m: int, p_t: float, n_min: int, n_max: int, h_x: float,
         spread = -math.inf
     else:
         spread = p_t * (math.log(m - n_min) - math.log(n_max))
-    lhs = binary_entropy(p_t) + spread + math.log(n_max)
+    lhs = _binary_entropy_nats(p_t) + spread + math.log(n_max)
     entropy_route = _entropy_rhs_nats(h_x, p_t, n_min / m, n_max / m)
     uniform_slack = math.log(m) - h_x
     other_route = entropy_route + uniform_slack

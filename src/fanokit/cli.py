@@ -294,9 +294,9 @@ def _cmd_bound(args) -> int:
             jsonio.parse_extended(obj["mi"]), domain_from_json(obj["domain"]),
             variant=obj.get("variant", "log2"), mode=mode,
             volume_method=obj.get("method", "auto"),
-            samples=int(obj.get("samples", 65536)),
+            samples=_bounds._check_whole(obj.get("samples", 65536), "samples"),
             seed=args.seed,
-            resolution=int(obj.get("resolution", 64)),
+            resolution=_bounds._check_whole(obj.get("resolution", 64), "resolution"),
             base=base, **checked)
     else:
         raise FanoError(f"kind: unknown bound kind {kind!r}")

@@ -176,9 +176,9 @@ def _binary_renyi_entropy_nats(p: float, alpha: float) -> float:
         return math.log(2.0)
     if math.isinf(alpha):
         return -math.log(max(p, 1.0 - p))
-    terms = (alpha * math.log(p), alpha * math.log(1.0 - p))
-    m = max(terms)
-    log_sum = m + math.log(math.fsum(math.exp(t - m) for t in terms))
+    # exp(hi - hi) is exactly 1.0, and + rounds a sum of two doubles as fsum does
+    lo, hi = sorted((alpha * math.log(p), alpha * math.log(1.0 - p)))
+    log_sum = hi + math.log(1.0 + math.exp(lo - hi))
     return max(0.0, log_sum / (1.0 - alpha))
 
 

@@ -17,6 +17,8 @@ import math
 from typing import Any
 
 INDENT = 2
+# what json.dumps returns for a str, without its per-call dispatch
+_quote = json.encoder.encode_basestring_ascii
 
 
 def format_float(x: float) -> str:
@@ -68,31 +70,26 @@ def _emit(obj: Any, out: list, level: int) -> None:
     elif isinstance(obj, float):
         out.append(format_float(obj))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
+        out.append(_quote(obj))
+    elif isinstance(obj, (dict, list, tuple)):
+        # one layout: a dict item is its value behind a "key": prefix, a list's has none
+        if isinstance(obj, dict):
+            brackets, items = "{}", []
+            for key in sorted(obj):
+                if not isinstance(key, str):
+                    raise TypeError("JSON object keys must be strings, got %r" % (key,))
+                items.append((pad + _quote(key) + ": ", obj[key]))
+        else:
+            brackets, items = "[]", [(pad, item) for item in obj]
+        if not items:
+            out.append(brackets)
             return
-        out.append("{\n")
-        keys = sorted(obj.keys())
-        for i, key in enumerate(keys):
-            if not isinstance(key, str):
-                raise TypeError("JSON object keys must be strings, got %r" % (key,))
-            out.append(pad + json.dumps(key) + ": ")
-            _emit(obj[key], out, level + 1)
-            out.append(",\n" if i < len(keys) - 1 else "\n")
-        out.append(close_pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, item in enumerate(seq):
-            out.append(pad)
+        out.append(brackets[0] + "\n")
+        for i, (prefix, item) in enumerate(items):
+            out.append(prefix)
             _emit(item, out, level + 1)
-            out.append(",\n" if i < len(seq) - 1 else "\n")
-        out.append(close_pad + "]")
+            out.append(",\n" if i < len(items) - 1 else "\n")
+        out.append(close_pad + brackets[1])
     else:
         raise TypeError("cannot serialize %r" % type(obj))
 

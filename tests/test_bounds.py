@@ -226,10 +226,14 @@ class TestSolveMode:
         assert r.bound_value == r.feasible_sup
         assert r.observed is None and r.slack is None
 
-    def test_infinite_divergence_admits_everything(self):
-        r = solve_diffusion(BoundInputs(math.inf, 2.0, 0.0, 0.5))
-        assert r.feasible_sup == 1.0
-        assert "vacuous" in r.notes
+    @pytest.mark.parametrize("alpha", ["kl", 2.0])
+    def test_infinite_divergence_admits_everything(self, alpha):
+        r = solve_diffusion(BoundInputs(math.inf, alpha, 0.0, 0.5))
+        assert r == bounds.BoundReport(
+            mode="solve", bound_value=1.0, solver_tolerance=bounds.SOLVE_TOLERANCE,
+            notes="divergence is infinite; every p is feasible (vacuous)",
+            observed=None, slack=None, feasible_sup=1.0, alpha=alpha,
+            p_min=0.0, p_max=0.5, divergence=math.inf, instance_id="")
 
     def test_saturated_instance_reaches_one(self):
         r = solve_diffusion(BoundInputs(math.log(4), "kl", 0.25, 0.25))

@@ -128,6 +128,13 @@ class TestSolve:
         assert report["feasible_sup"] == pytest.approx(0.7729078047806518,
                                                        abs=5e-10)
 
+    @pytest.mark.parametrize("alpha", ["kl", "2"])
+    def test_infinite_divergence_still_reads_the_base(self, alpha, capsys):
+        # as bound does: the base is checked before the vacuous report
+        assert main(["solve", '{"divergence": "inf", "p_min": 0, "p_max": 0.5}',
+                     "--alpha", alpha, "--base", "0.5"]) == 2
+        assert capsys.readouterr().err.startswith("error: base: ")
+
     def test_solve_with_order_override(self, capsys):
         main(["solve", '{"divergence": 0.0, "p_min": 0.0, "p_max": 0.5}',
               "--alpha", "0.5", "--format", "json"])
@@ -275,6 +282,17 @@ class TestErrors:
         assert main(["bound", body % (6, 2.5)]) == 2
         assert capsys.readouterr().err.startswith("error: ball_max: must be a whole number")
         assert main(["bound", body % ("6.0", "2.0")]) == 0
+        # the continuous bound's counts: a fraction was truncated and true read as 1
+        domain = '"domain": {"box": [[0, 1]], "metric": "abs", "t": 0.1}'
+        for command in ("bound", "solve"):
+            for field, value in (("resolution", "16.9"), ("samples", "true"),
+                                 ("samples", "2.5"), ("resolution", '"64"')):
+                assert main([command, '{"kind": "continuous", "mi": 0.1, "p_t": 0.5, %s, "%s": %s}'
+                             % (domain, field, value)]) == 2
+                assert capsys.readouterr().err.startswith(
+                    "error: %s: must be a whole number" % field)
+        assert main(["solve", '{"kind": "continuous", "mi": 0.1, %s, "method": "grid", '
+                     '"samples": 64.0, "resolution": 16.0}' % domain]) == 0
 
     def test_sweep_outcome_count_zero_names_the_field(self, capsys):
         assert main(["sweep", "--k", "0"]) == 2

@@ -350,6 +350,28 @@ def test_binary_entropy_is_the_order_one_binary_entropy_bitwise(p, base):
     assert got.hex() == _scale(_binary_entropy_nats(p), base).hex()
 
 
+def _binary_renyi_log_sum_by_fsum(p, alpha):
+    """_binary_renyi_entropy_nats's general branch as it was, an fsum of both
+    shifted exponentials (one of them exactly 1.0)."""
+    terms = (alpha * math.log(p), alpha * math.log(1.0 - p))
+    m = max(terms)
+    log_sum = m + math.log(math.fsum(math.exp(t - m) for t in terms))
+    return max(0.0, log_sum / (1.0 - alpha))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.sampled_from([5e-324, 2.0 ** -1040, 2.0 ** -1022, 0.5, 1.0 - 2.0 ** -53]),
+                 st.floats(5e-324, 1.0 - 2.0 ** -53)),
+       st.one_of(st.floats(0.0, 1.0 - 2e-9, exclude_min=True),
+                 st.floats(1.0 + 2e-9, 1e4, exclude_max=True)))
+@example(0.5, 2.0)
+@example(5e-324, 1e-300)
+@example(1.0 - 2.0 ** -53, 9999.0)
+def test_binary_renyi_entropy_sums_its_two_terms_as_fsum_did(p, alpha):
+    want = _binary_renyi_log_sum_by_fsum(p, alpha)
+    assert repr(_binary_renyi_entropy_nats(p, alpha)) == repr(want)
+
+
 def test_binary_entropy_validates_as_before():
     with pytest.raises(OutOfRangeProbability, match="^p: probability must lie in"):
         binary_entropy(1.2)
