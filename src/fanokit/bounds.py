@@ -763,6 +763,8 @@ def continuous_fano_bound(mi: float, domain: ContinuousDomain,
     """
     if variant not in ("log2", "entropy"):
         raise FanoError(f"variant: expected 'log2' or 'entropy', got {variant!r}")
+    samples = _check_whole(samples, "samples")
+    resolution = _check_whole(resolution, "resolution")
     vol_domain = domain.volume
     method = resolve_volume_method(domain, volume_method)
     ball, ball_err = sup_ball_volume(domain, method=method,

@@ -294,9 +294,9 @@ def _cmd_bound(args) -> int:
             jsonio.parse_extended(obj["mi"]), domain_from_json(obj["domain"]),
             variant=obj.get("variant", "log2"), mode=mode,
             volume_method=obj.get("method", "auto"),
-            samples=_bounds._check_whole(obj.get("samples", 65536), "samples"),
+            samples=obj.get("samples", 65536),
             seed=args.seed,
-            resolution=_bounds._check_whole(obj.get("resolution", 64), "resolution"),
+            resolution=obj.get("resolution", 64),
             base=base, **checked)
     else:
         raise FanoError(f"kind: unknown bound kind {kind!r}")

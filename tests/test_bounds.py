@@ -592,6 +592,14 @@ class TestContinuous:
         assert "standard error" in r.notes
         assert "monte-carlo" in r.notes
 
+    @pytest.mark.parametrize("field, value", [
+        ("samples", True), ("samples", 2.5), ("resolution", 16.9), ("resolution", "64"),
+    ])
+    def test_counts_must_be_whole_numbers(self, field, value):
+        with pytest.raises(FanoError, match="^%s: must be a whole number" % field):
+            continuous_fano_bound(0.1, self.dom, p_t=0.5, volume_method="grid",
+                                  **{field: value})
+
     def test_degenerate_balls(self):
         with pytest.raises(DegenerateDenominator):
             continuous_fano_bound(
