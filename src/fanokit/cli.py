@@ -243,15 +243,21 @@ def _bound_inputs_from_json(obj: dict, args, base: float) -> BoundInputs:
         alpha = _parse_alpha(args.alpha)
     elif isinstance(alpha, str):
         alpha = _parse_alpha(alpha)
-    p_min = args.pmin if args.pmin is not None else obj.get("p_min")
-    p_max = args.pmax if args.pmax is not None else obj.get("p_max")
+    p_min = args.pmin if args.pmin is not None else _number(obj, "p_min")
+    p_max = args.pmax if args.pmax is not None else _number(obj, "p_max")
     if p_min is None or p_max is None:
         raise FanoError("p_min, p_max: required (in the input object or via flags)")
-    divergence = obj.get("divergence")
+    divergence = _number(obj, "divergence")
     if divergence is None:
         raise FanoError("divergence: required in the input object")
-    return BoundInputs(divergence=jsonio.parse_extended(divergence), alpha=alpha,
-                       p_min=float(p_min), p_max=float(p_max), base=base)
+    return BoundInputs(divergence=divergence, alpha=alpha, p_min=p_min, p_max=p_max,
+                       base=base)
+
+
+def _number(obj: dict, name: str):
+    """obj[name] read by jsonio.parse_extended, None where absent or null."""
+    value = obj.get(name)
+    return None if value is None else jsonio.parse_extended(value, name)
 
 
 def _cmd_bound(args) -> int:
@@ -265,33 +271,31 @@ def _cmd_bound(args) -> int:
     kind = obj.get("kind", "kl")
     mode = "solve" if solve else "check"
     # the exceedance bounds' check-mode inputs
-    checked = {} if solve else {"p_t": obj.get("p_t"), "tolerance": args.tolerance}
+    checked = {} if solve else {"p_t": _number(obj, "p_t"), "tolerance": args.tolerance}
     if kind in ("kl", "renyi"):
         inputs = _bound_inputs_from_json(obj, args, base)
         if solve:
             report = _bounds.solve_diffusion(inputs)
         else:
-            p_obs = obj.get("p", obj.get("observed"))
+            p_obs = _number(obj, "p" if "p" in obj else "observed")
             if p_obs is None:
                 raise FanoError("p: the observed probability is required for check mode")
             if isinstance(inputs.alpha, str) and inputs.alpha == "kl":
-                report = _bounds.check_kl_diffusion(float(p_obs), inputs,
-                                                    args.tolerance)
+                report = _bounds.check_kl_diffusion(p_obs, inputs, args.tolerance)
             else:
-                report = _bounds.check_renyi_diffusion(float(p_obs), inputs,
-                                                       args.tolerance)
+                report = _bounds.check_renyi_diffusion(p_obs, inputs, args.tolerance)
     elif kind == "mi-distance":
         for key in ("mi", "size", "ball_max"):
             if key not in obj:
                 raise FanoError(f"{key}: required for the mi-distance bound")
         report = _bounds.mi_distance_bound(
-            jsonio.parse_extended(obj["mi"]), obj["size"], obj["ball_max"],
+            jsonio.parse_extended(obj["mi"], "mi"), obj["size"], obj["ball_max"],
             mode=mode, base=base, **checked)
     elif kind == "continuous":
         if "mi" not in obj or "domain" not in obj:
             raise FanoError("mi, domain: required for the continuous bound")
         report = _bounds.continuous_fano_bound(
-            jsonio.parse_extended(obj["mi"]), domain_from_json(obj["domain"]),
+            jsonio.parse_extended(obj["mi"], "mi"), domain_from_json(obj["domain"]),
             variant=obj.get("variant", "log2"), mode=mode,
             volume_method=obj.get("method", "auto"),
             samples=obj.get("samples", 65536),

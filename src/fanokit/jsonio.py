@@ -44,18 +44,23 @@ def format_csv(rows) -> str:
                    for row in rows)
 
 
-def parse_extended(value: Any) -> float:
-    """Accept numbers plus the string forms produced by format_float."""
+def parse_extended(value: Any, name: str) -> float:
+    """The JSON field name's value as a float: a number (not a bool) or one
+    of the string forms produced by format_float. ValueError, naming the
+    field, otherwise."""
     if isinstance(value, str):
         s = value.strip().lower()
         if s in ("inf", "+inf", "infinity"):
             return math.inf
         if s in ("-inf", "-infinity"):
             return -math.inf
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError("expected a number, got %r" % (value,))
-    return float(value)
+    raise ValueError("%s: expected a number, got %r" % (name, value))
 
 
 def _emit(obj: Any, out: list, level: int) -> None:

@@ -185,11 +185,12 @@ def _table_bounds(table: np.ndarray, prior: FiniteDistribution,
 
 def ball_counts(rho: Callable[[Any, Any], float], t: float,
                 labels: Sequence[Label]) -> tuple[int, int]:
-    """(min, max) over x of |{xhat : rho(x, xhat) <= t}| on a shared label set."""
+    """(min, max) over x of |{xhat : rho(x, xhat) <= t}| on a shared label
+    set, counted on the relation table of DistanceRelation(rho, t)."""
     labels = tuple(labels)
     if not labels:
         raise EmptyCandidateSet("labels: ball counts need a nonempty label set")
-    counts = [sum(1 for xhat in labels if rho(x, xhat) <= t) for x in labels]
+    counts = _relation_tables(DistanceRelation(rho, t), labels, labels)[0].sum(axis=1).tolist()
     return min(counts), max(counts)
 
 

@@ -21,15 +21,19 @@ the output is the one-instance-at-a-time loop's.
 
 Each k's grids and windows are built once; P(E) takes one fsum per
 distinct multiset of parts (_event_masses). The verdict is computed in two
-passes that give the scalar loop's bytes. A vector pass evaluates every
-evaluation's divergence, exponent and bound as numpy arrays, in blocks of
-whole P rows, with a proven band around each excess: the distance the
-scalar kernels' double can lie from it (_block_excess). The scalar kernels
-then re-evaluate, in loop order, the evaluations whose band reaches the
-tolerance or the running maximum, and every one off the plain branch of the
-bound, where every error is raised (_sweep_outcome_count). The rest keep
-their vector verdict. A block holds about 8,192 evaluations, or one row
-where a row alone holds more, in four doubles and two flags per evaluation
+passes that give the scalar loop's bytes. The bound increases with the
+divergence, so among the evaluations of one group (order, P(E), window) the
+excess falls as the divergence grows. Per group, two divergence thresholds,
+each with the margin the scalar kernels' rounding can move it by
+(_divergence_thresholds), stand for every excess: one at the tolerance and
+one at a level no higher than the maximum excess. A vector pass evaluates
+every evaluation's divergence, with an error bound, as numpy arrays in
+blocks of whole P rows, and compares it with its group's thresholds. The
+scalar kernels then re-evaluate, in loop order, the evaluations within a
+margin of the tolerance threshold or up to the margin above the level one,
+where every error is raised (_sweep_outcome_count). The rest keep their
+vector verdict. A block holds about 8,192 evaluations, or one row where a
+row alone holds more, in three doubles and three flags per evaluation
 reused from block to block, so the peak memory grows with a row's windows
 times its orders.
 """
@@ -306,10 +310,6 @@ _BLOCK_INSTANCES = 8192
 # tests/test_verify.py pins the assumption.
 TRANSCENDENTAL_ULPS = 4.0
 _EPS = sys.float_info.epsilon
-# a plain instance's num, ratio and bound lie inside these magnitudes, which
-# leaves far more room than the band's reach before a double leaves the
-# normal range
-_PLAIN_RANGE = (2.0 ** -960, 2.0 ** 960)
 
 
 class _Tally:
@@ -366,82 +366,55 @@ def _block_divergences(p_parts, q_logs, atoms, alphas):
     return out
 
 
-def _block_excess(dv, h, p, window, order, band, flags) -> None:
-    """Excess p - bound of a block of instances into dv[1] (order, P,
-    window), KL first, and into band the distance the scalar kernels'
-    excess lies within: inf where the instance must go to the scalar
-    kernels (its vector excess is then 0). dv holds the divergences and
-    their error bounds, h the event terms, band[1:] the power-sum factor of
-    each order alpha, all gathered to the instances and all overwritten; p
-    is P(E) per (P, window); window and order are _sweep_outcome_count's
-    per-window and per-order constants; flags is scratch.
+def _divergence_thresholds(level: float, p_events, e_terms, window_terms, alphas) -> np.ndarray:
+    """Per group (order, P(E), window), the divergences within which the
+    scalar kernels' excess p - bound may lie on either side of level, as a
+    (2, order, P(E), window) array of lower and upper ends: below the lower
+    end the excess is above level, beyond the upper end it is not. p_events
+    lists P(E); e_terms and window_terms hold per order (KL first,
+    alphas[0] None) the _event_terms of each P(E) and the _window_terms of
+    each window.
 
-    The exponent a = div + h + ln(1 - p_min) is summed as the kernels sum
-    it, so the vector a is within delta of theirs: the divergence's error
-    and two roundings per side. KL is a / L. An order alpha takes
-    expm1((alpha - 1) a) power_sum / den to the power 1/alpha. Where
-    a > delta, the bound's log moves at most
-    delta (max(alpha - 1, 0) + 1 / (a - delta)) / alpha over
-    [a - delta, a + delta] (its derivative in a decreases, and is below that
-    at a - delta), and each side's roundings add
-    ((T + 3 + |(alpha - 1) a|) / alpha + T) eps for T-ulp transcendentals.
-    An order instance is plain when a > 2 delta, that log distance X has
-    X max(alpha, 2) <= 1 (so e^X - 1 <= 1.3 X) and the ratio lies in
-    (r_lo, r_hi); every other one goes to the scalar kernels, and with it
-    every branch off the plain ratio ** (1 / alpha) and every raise.
+    The ends are a margin either side of the threshold where the exact
+    excess equals level (the bound increases with the divergence D). KL is
+    (D + h + ln(1 - p_min)) / L; an order alpha takes
+    expm1((alpha - 1) a) power_sum / den, a = D + h + ln(1 - p_min), to
+    the power 1/alpha. The margin is the kernels' rounding at the
+    threshold, each library transcendental within TRANSCENDENTAL_ULPS,
+    carried to D through the slope of the bound's log, with the rounding
+    of the threshold itself, doubled for second-order terms.
+
+    An order's threshold is taken at a bound of at least
+    y = max(p - level, floor), where floor^alpha = 2^-900 for alpha > 1
+    and floor = 2^-900 below: from there up the kernels' ratio, numerator
+    and root are normal doubles (|den| is above 2^-80 on any grid). So
+    every raise and every bound that is 0 by rounding (an exponent near or
+    below 0, a ratio below the normal range) lies below the upper end. Ends
+    past the double range (an order alpha < 1 whose bound stays below y,
+    an overflowed den) are inf or nan.
     """
-    log_keep, abs_log_keep, log_ratio, den, r_lo, r_hi = window
-    alpha_less_1, root, log_slope, x_slope, roundings, reach = order
-    a, excess = dv
-    a += h
-    delta = np.add(abs_log_keep, a, out=h)
-    delta *= 4.0 * _EPS
-    delta += excess         # twice: 2 err, the divergences' error bounds
-    delta += excess
-    a += log_keep
-    rhs = np.divide(a[0], log_ratio, out=excess[0])
-    np.divide(delta[0], log_ratio, out=band[0])     # twice the bound's distance from the kernels'
-    np.abs(rhs, out=a[0])
-    a[0] *= _EPS
-    band[0] += a[0]
-    band[0] *= 2.0
-    np.subtract(p, rhs, out=rhs)
-    a, delta, bound, X = a[1:], delta[1:], excess[1:], band[1:]
-    plain, test = flags[:, 1:]
+    p = np.array(p_events)[:, None]
+    h, power_sum = np.moveaxis(np.array(e_terms), -1, 0)[..., None]
+    log_keep, log_ratio, den = np.moveaxis(np.array(window_terms), -1, 0)[:, :, None]
+    t, margin = out = np.empty((2,) + np.broadcast_shapes(h.shape, den.shape))
+    y = p - level
+    np.subtract(y * log_ratio[0] - h[0], log_keep[0], out=t[0])
+    margin[0] = abs(t[0]) + h[0] - log_keep[0] + (abs(y) + abs(level)) * log_ratio[0]
+    alpha = np.array(alphas[1:], dtype=float)[:, None, None]
     with np.errstate(all="ignore"):
-        np.multiply(alpha_less_1, a, out=bound)
-        np.expm1(bound, out=bound)
-        bound *= X          # the power-sum factors
-        bound /= den
-        np.less(r_lo, bound, out=plain)
-        np.less(bound, r_hi, out=test)
-        plain &= test
-        bound **= root
-        gap = np.subtract(a, delta, out=X)
-        np.greater(gap, delta, out=test)
-        plain &= test
-        # X = delta (max(alpha - 1, 0) + 1 / gap) / alpha + the roundings
-        np.divide(root, gap, out=X)
-        X += log_slope
-        X *= delta
-        x = np.multiply(alpha_less_1, a, out=a)     # the exponent of expm1 again
-        np.abs(x, out=x)
-        x *= x_slope
-        X += x
-        X += roundings
-        np.less_equal(X, reach, out=test)
-        plain &= test
-        X *= bound
-        np.subtract(p, bound, out=bound)
-        X *= 2.6
-        np.logical_not(plain, out=plain)
-        np.copyto(bound, 0.0, where=plain)
-        np.copyto(X, np.inf, where=plain)
-    # and the rounding of p - bound on each side; the doubling covers
-    # second-order terms
-    rounding = np.abs(excess, out=dv[0])
-    rounding *= 2.0 * _EPS
-    band += rounding
+        y = np.maximum(y, 2.0 ** (-900.0 / np.maximum(alpha, 1.0)))
+        z = y ** alpha * den[1:] / power_sum[1:]
+        x = np.log1p(z)
+        a = x / (alpha - 1.0)
+        np.subtract(a - h[1:], log_keep[1:], out=t[1:])
+        slope = (alpha - 1.0) * (1.0 + 1.0 / z)
+        margin[1:] = (abs(t[1:]) + h[1:] - log_keep[1:] + abs(a)
+                      + (abs(x) + 3.0 + alpha * (2.0 + abs(p - y) / y)) / slope)
+        margin *= 2.0 * TRANSCENDENTAL_ULPS * _EPS
+        t -= margin
+        margin += margin
+        margin += t
+    return out
 
 
 def _sweep_outcome_count(k: int, d: int, orders, tally: _Tally,
@@ -450,26 +423,27 @@ def _sweep_outcome_count(k: int, d: int, orders, tally: _Tally,
     window at each order, in blocks of whole P rows; tables is
     _event_tables(k, d).
 
-    A block's excesses and bands come from _block_excess. Within its band
-    an excess may be the kernels' or not, so the scalar kernels evaluate,
-    in loop order, every evaluation whose band reaches spec.tolerance, and
-    every one whose band reaches the threshold (the largest of the running
-    maximum and the block's lower ends, excess - band) unless by its turn
-    the running maximum has passed its band. Evaluations with an infinite
-    band are among them. The rest keep their vector verdict: below a
-    maximum, none can be a maximum, and away from the tolerance, their
-    verdict is the kernels'. Every verdict counts once per member of its
-    window's orbit.
+    Within a group (order, P(E), window) the excess falls as the divergence
+    grows, so two _divergence_thresholds per group decide the block: at
+    spec.tolerance, and at a level no higher than the k's maximum excess
+    (the running maximum, or an excess the KL kernels return at P = Q in a
+    tight window, where the bound is an equality). The scalar kernels
+    evaluate, in loop order, every evaluation whose divergence interval
+    (_block_divergences' value and error bound) comes within a margin of
+    the tolerance threshold, or up to the margin above the level threshold.
+    The rest keep their vector verdict: a violation wholly below the
+    tolerance threshold, none above it. Every verdict counts once per member
+    of its window's orbit.
 
     So every evaluation that reaches the maximum excess is re-evaluated,
     and the worst instance is the loop-first sigma-image (_first_image)
     among them: an image's window and order are its evaluation's, so the
     images compare by (P, Q, mask), then window and order. Every raise (a
-    negative exponent, a sign disagreement, a bound that is 0 only by
-    rounding) has an infinite band, so every raising evaluation of the k is
-    re-evaluated too. The first instance to raise in loop order is the
-    loop-first image among them; its error names that image and is raised
-    once the k is done.
+    negative exponent, a bound that is 0 only by rounding) lies below the
+    upper end at the level, so every raising evaluation of the k is
+    re-evaluated too. The first instance to raise in loop order is the loop-first image
+    among them; its error names that image and is raised once the k is
+    done.
     """
     p_array, q_rows, masks, members, distinct, w_q, w_m, w_d, w_size = tables
     n_windows = len(w_q)
@@ -480,110 +454,80 @@ def _sweep_outcome_count(k: int, d: int, orders, tally: _Tally,
     q_list = q_grid.tolist()
     alphas = [alpha for _, alpha in orders]
     n_orders = len(orders)
-
-    # each distinct window's _window_terms per order, and as (order, 1,
-    # window) arrays; orders as (order, 1, 1)
-    window_terms = [[_window_terms(*window[1:], alpha) for window in distinct] for alpha in alphas]
-    w_terms = np.array(window_terms)[:, None]
-    log_keep, log_ratio, den = (w_terms[..., 0][..., w_d], w_terms[0, 0, w_d, 1],
-                                w_terms[1:, ..., 2][..., w_d])
-    alpha = np.array(alphas[1:], dtype=float).reshape(-1, 1, 1)
-    # the plain ratios num / den: num, the ratio and its 1/alpha-th root all
-    # lie inside _PLAIN_RANGE with a factor 2 to spare (the vector num and
-    # root are within a few eps of ratio * den and ratio ** (1 / alpha));
-    # none where den overflowed
-    lo, hi = _PLAIN_RANGE
-    r_lo = np.maximum(np.maximum(lo, 2.0 * lo / np.abs(den)), 2.0 ** (-959.0 * alpha))
-    r_hi = np.minimum(np.minimum(hi, hi / (2.0 * np.abs(den))),
-                      2.0 ** np.minimum(959.0 * alpha, 960.0))
-    window = (log_keep, np.abs(log_keep), log_ratio, den, r_lo, r_hi)
-    t_ulps = TRANSCENDENTAL_ULPS
-    order = (alpha - 1.0, 1.0 / alpha, np.maximum(alpha - 1.0, 0.0) / alpha,
-             2.0 * _EPS / alpha, 2.0 * _EPS * ((t_ulps + 3.0) / alpha + t_ulps),
-             1.0 / np.maximum(alpha, 2.0))
-
-    # event terms of each distinct P(E) multiset: h per order, then the
-    # power-sum factor per order alpha
     p_list = p_array.tolist()
     p_events = p_masses.tolist()
     e_rows = e_index.tolist()
+    # each P(E)'s event terms and each distinct window's terms, per order
     e_terms = [[_event_terms(p, alpha) for p in p_events] for alpha in alphas]
-    e_table = np.array([[t[0] for t in row] for row in e_terms]
-                       + [[t[1] for t in row] for row in e_terms[1:]])
-
+    window_terms = [[_window_terms(*window[1:], alpha) for window in distinct] for alpha in alphas]
     logs = [math.log(a / d) for a in range(1, d + 1)]
     atom_table = np.array([[0.0] + logs, [-math.inf] + logs, [a / d for a in range(d + 1)]])
     q_logs = atom_table[0][q_grid]
     p_vecs, q_vecs = atom_table[2][p_array].tolist(), atom_table[2][q_grid].tolist()
+    w_q_list, w_m_list, w_d_list = w_q.tolist(), w_m.tolist(), w_d.tolist()
+    w_size_list = w_size.tolist()
+    tolerance = tally.tolerance
+
+    # the level: KL at P = Q in the first tight window (else the first window)
+    w = next((w for w, wd in enumerate(w_d_list) if distinct[wd][0] == "tight"), 0)
+    qi = w_q_list[w]
+    e = e_rows[q_rows[qi]][w_m_list[w]]
+    level = max(tally.max_excess, p_events[e] - _kl_ratio(
+        _kl_nats(list(zip(q_vecs[qi], q_vecs[qi]))), e_terms[0][e][0],
+        *window_terms[0][w_d_list[w]][:2]))
+    # per (order, group e * len(distinct) + window): a violation below `lows`,
+    # none above `highs`, a rescan up to `cuts`
+    lows, highs = _divergence_thresholds(tolerance, p_events, e_terms, window_terms,
+                                         alphas).reshape(2, n_orders, -1)
+    cuts = _divergence_thresholds(level, p_events, e_terms, window_terms,
+                                  alphas)[1].reshape(n_orders, -1)
+
     # a block holds `step` whole P rows; a divergence block holds a multiple
     # of `step` rows, about a quarter as many (P, Q, atom) entries as a
     # block has evaluations
     step = min(len(p_list), max(1, _BLOCK_INSTANCES // (n_windows * n_orders)))
     div_rows = step * max(1, _BLOCK_INSTANCES // 4 // (len(q_list) * k) // step)
-    # every block's arrays are views of these, reused: four doubles and two
-    # flags per evaluation, one P(E) and one event index per (P, window)
+    # every block's arrays are views of these, reused: three doubles and
+    # three flags per evaluation, one group index per (P, window)
     per_order = n_orders * step * n_windows
-    scratch = np.empty(4 * per_order + step * n_windows)
-    flags = np.empty(2 * per_order, dtype=bool)
-    e_block = np.empty(step * n_windows, dtype=np.intp)
-
-    def block_views(rows: int) -> list:
-        """dv, h, band, P(E), flags and event index of a block of `rows`
-        P rows, as views of the scratch arrays."""
-        size = rows * n_windows
-        n = n_orders * size
-        planes = np.split(scratch[:4 * n + size], np.cumsum([2 * n, n, n]))
-        shapes = [(2, n_orders), (n_orders,), (n_orders,), ()]
-        return ([plane.reshape(shape + (rows, n_windows)) for plane, shape in zip(planes, shapes)]
-                + [flags[:2 * n].reshape(2, n_orders, rows, n_windows),
-                   e_block[:size].reshape(rows, n_windows)])
-
-    full_block = block_views(step)
-    w_q_list, w_m_list, w_d_list = w_q.tolist(), w_m.tolist(), w_d.tolist()
-    w_size_list = w_size.tolist()
-    tolerance = tally.tolerance
+    scratch = np.empty(3 * per_order)
+    flags = np.empty(3 * per_order, dtype=bool)
+    g_block = np.empty(step * n_windows, dtype=np.intp)
     refusal = None      # (loop key, error) of the first image to raise
     for d0 in range(0, len(p_list), div_rows):
         dv = _block_divergences(p_array[d0:d0 + div_rows], q_logs, atom_table, alphas)
         for r0 in range(d0, min(d0 + div_rows, len(p_list)), step):
             rows = min(step, len(p_list) - r0)
-            dv_block, h, band, p_block, block_flags, e_at = (
-                full_block if rows == step else block_views(rows))
-            np.take(dv[:, :, r0 - d0:r0 - d0 + rows], w_q, axis=-1, out=dv_block, mode="clip")
-            np.take(e_index[r0:r0 + rows], w_m, axis=1, out=e_at, mode="clip")
-            np.take(e_table[:n_orders], e_at, axis=1, out=h, mode="clip")
-            np.take(e_table[n_orders:], e_at, axis=1, out=band[1:], mode="clip")
-            np.take(p_masses, e_at, out=p_block, mode="clip")
-            _block_excess(dv_block, h, p_block, window, order, band, block_flags)
-            vector_excess = dv_block[1]
-            lower = np.subtract(vector_excess, band, out=dv_block[0])
-            upper = np.add(vector_excess, band, out=band)
-            threshold = max(tally.max_excess, float(lower.max()))
-            rescan, test = block_flags
-            np.less_equal(lower, tolerance, out=rescan)
-            np.less_equal(tolerance, upper, out=test)
-            rescan &= test
-            np.greater_equal(upper, threshold, out=test)
-            rescan |= test
-            # vector violations, less the rescanned ones, each once per
-            # member of its window's orbit; the kernels that weigh them run
-            # only when there are some
-            np.greater(vector_excess, tolerance, out=test)
-            if np.count_nonzero(test):
-                test &= ~rescan
-                tally.violations += int(w_size[np.flatnonzero(test) % n_windows].sum())
-            flat = np.flatnonzero(rescan)
-            js, rests = np.divmod(flat, p_block.size)
+            n = n_orders * rows * n_windows
+            div, err, upper = scratch[:3 * n].reshape(3, n_orders, rows, n_windows)
+            keep, test, hit = flags[:3 * n].reshape(3, n_orders, rows, n_windows)
+            g = g_block[:rows * n_windows].reshape(rows, n_windows)
+            np.take(dv[:, :, r0 - d0:r0 - d0 + rows], w_q, axis=-1,
+                    out=scratch[:2 * n].reshape(2, n_orders, rows, n_windows), mode="clip")
+            np.take(e_index[r0:r0 + rows], w_m, axis=1, out=g, mode="clip")
+            g *= len(distinct)
+            g += w_d
+            np.add(div, err, out=upper)
+            lower = np.subtract(div, err, out=div)
+            # err takes each threshold in turn
+            np.take(lows, g, axis=1, out=err, mode="clip")
+            np.less(upper, err, out=hit)
+            np.take(highs, g, axis=1, out=err, mode="clip")
+            np.greater(lower, err, out=test)
+            test |= hit
+            np.take(cuts, g, axis=1, out=err, mode="clip")
+            np.greater(lower, err, out=keep)
+            keep &= test
+            # vector violations, each once per member of its window's orbit;
+            # the kernels that weigh them run only when there are some
+            hit &= keep
+            if np.count_nonzero(hit):
+                tally.violations += int(w_size[np.flatnonzero(hit) % n_windows].sum())
+            flat = np.flatnonzero(np.logical_not(keep, out=keep))
+            js, rests = np.divmod(flat, rows * n_windows)
             divs: dict = {}
-            for rest, j, low, high in sorted(zip(rests.tolist(), js.tolist(),
-                                                 lower.ravel()[flat].tolist(),
-                                                 upper.ravel()[flat].tolist())):
+            for rest, j in sorted(zip(rests.tolist(), js.tolist())):
                 row, w = divmod(rest, n_windows)
-                if high < tally.max_excess and not low <= tolerance <= high:
-                    # below a maximum found since the threshold was taken,
-                    # and away from the tolerance: the band decides
-                    tally.violations += w_size_list[w] * (low > tolerance)
-                    continue
                 row += r0
                 qi, mi, wd = w_q_list[w], w_m_list[w], w_d_list[w]
                 tag, p_min, p_max = distinct[wd]

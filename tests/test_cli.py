@@ -118,6 +118,21 @@ class TestBound:
         code, _, err = run_cli("bound", '{"p_min": 0.0, "p_max": 0.5}')
         assert code == 2 and "divergence" in err
 
+    @pytest.mark.parametrize("command, body, field", [
+        ("bound", '{"divergence": 0.1, "p_min": 0, "p_max": 0.5, "p": true}', "p"),
+        ("bound", '{"divergence": 0.1, "p_min": 0, "p_max": 0.5, "observed": true}',
+         "observed"),
+        ("bound", '{"divergence": 0.1, "p_min": true, "p_max": 0.5, "p": 0.3}', "p_min"),
+        ("solve", '{"divergence": 0.1, "p_min": 0, "p_max": true}', "p_max"),
+        ("bound", '{"kind": "mi-distance", "mi": 0.1, "size": 8, "ball_max": 2, '
+                  '"p_t": true}', "p_t"),
+        ("bound", '{"divergence": true, "p_min": 0, "p_max": 0.5, "p": 0.3}', "divergence"),
+    ])
+    def test_a_json_bool_is_not_a_number(self, command, body, field, capsys):
+        # float(true) would read it as 1.0
+        assert main([command, body]) == 2
+        assert capsys.readouterr().err == f"error: {field}: expected a number, got True\n"
+
 
 class TestSolve:
     def test_solve_reports_the_supremum(self, capsys):

@@ -51,14 +51,14 @@ def test_tuples_serialize_as_arrays():
 
 
 def test_parse_extended_reads_the_same_dialect():
-    assert parse_extended("inf") == math.inf
-    assert parse_extended("-inf") == -math.inf
-    assert parse_extended(3) == 3.0
-    assert parse_extended(0.25) == 0.25
-    with pytest.raises(ValueError):
-        parse_extended("three")
-    with pytest.raises(ValueError):
-        parse_extended(True)
+    assert parse_extended("inf", "x") == math.inf
+    assert parse_extended("-inf", "x") == -math.inf
+    assert parse_extended(3, "x") == 3.0
+    assert parse_extended(0.25, "x") == 0.25
+    with pytest.raises(ValueError, match="^x: expected a number, got 'three'$"):
+        parse_extended("three", "x")
+    with pytest.raises(ValueError, match="^x: expected a number, got True$"):
+        parse_extended(True, "x")
 
 
 def _emit_before_the_fold(obj, out, level):

@@ -129,6 +129,12 @@ class TestBallCounts:
         assert ball_counts(metric_from_name("abs"), 0, range(4)) == (1, 1)
         assert ball_counts(metric_from_name("abs"), 99, range(4)) == (4, 4)
 
+    @pytest.mark.parametrize("t", [-1.0, math.nan])
+    def test_a_negative_or_nan_radius_is_refused(self, t):
+        # as DistanceRelation refuses it; before, no ball held a point
+        with pytest.raises(OutOfRangeProbability, match="^t: radius must be >= 0"):
+            ball_counts(metric_from_name("abs"), t, range(4))
+
 
 class TestContinuousVolumes:
     def test_domain_validation(self):
