@@ -53,7 +53,7 @@ from .errors import (
     RangeMismatch,
     ZeroVolumeDenominator,
 )
-from .jsonio import format_csv
+from .jsonio import _check_whole, format_csv
 from .relations import (
     ContinuousDomain,
     DistanceRelation,
@@ -171,16 +171,6 @@ def _check_window(p_min, p_max) -> tuple[float, float]:
             f"p_min, p_max: need p_min + p_max < 1, got {p_min!r} + {p_max!r}"
         )
     return p_min, p_max
-
-
-def _check_whole(value, name: str) -> int:
-    """A whole number given as an int or an integral float."""
-    try:
-        if not isinstance(value, bool) and int(value) == value:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise FanoError(f"{name}: must be a whole number, got {value!r}")
 
 
 def _check_order(alpha) -> float:

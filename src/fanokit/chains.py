@@ -51,7 +51,7 @@ from .errors import (
     NonUniformPrior,
     StateSpaceTooLarge,
 )
-from .jsonio import format_cell
+from .jsonio import _check_whole, format_cell, parse_extended
 from .relations import (
     DistanceRelation,
     Relation,
@@ -59,7 +59,6 @@ from .relations import (
     _relation_tables,
     _table_bounds,
     equality_relation,
-    relation_bounds,
     relation_from_json,
 )
 from . import bounds as _bounds
@@ -109,7 +108,7 @@ class Experiment:
             raise DuplicateLabel(
                 "experiment: prior outcomes must match channel inputs, in order"
             )
-        n = _bounds._check_whole(self.n_samples, "n")
+        n = _check_whole(self.n_samples, "n")
         if n < 1:
             raise FanoError(f"n: sample count must be >= 1, got {self.n_samples!r}")
         object.__setattr__(self, "n_samples", n)
@@ -481,10 +480,10 @@ def independent_samples_bound(prior: FiniteDistribution, channel: Channel,
     I(X;Y^n) <= n * I(X;Y_1) <= n * beta is asserted on the exact chain,
     which this call enumerates (certify hands over the summary it has).
     """
-    summary = enumerate_chain(Experiment(prior=prior, channel=channel, n_samples=n,
-                                         estimator=estimator, relation=rel))
+    summary, (accepted, _) = _enumerate(Experiment(
+        prior=prior, channel=channel, n_samples=n, estimator=estimator, relation=rel))
     if bounds is None:
-        bounds = relation_bounds(rel, prior, summary.joint_xxhat.col_outcomes)
+        bounds = _table_bounds(accepted, prior, summary.joint_xxhat.col_outcomes)
     return _samples_mi_report(summary, n, bounds, base, tolerance)
 
 
@@ -681,5 +680,5 @@ def experiment_from_json(obj: dict) -> Experiment:
         estimator=estimator_from_json(obj["estimator"]),
         relation=relation_from_json(obj["relation"]),
         n_samples=obj.get("n", 1),
-        base=float(obj.get("base", math.e)),
+        base=parse_extended(obj.get("base", math.e), "base"),
     )

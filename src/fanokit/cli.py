@@ -59,26 +59,16 @@ def _load_json(argument: str):
         raise FanoError(f"input: invalid JSON ({exc})") from None
 
 
-def _parse_base(text: str) -> float:
-    if text.strip().lower() == "e":
+def _parse_base(value) -> float:
+    if isinstance(value, str) and value.strip().lower() == "e":
         return math.e
-    try:
-        value = float(text)
-    except ValueError:
-        raise FanoError(f"base: expected a number or 'e', got {text!r}") from None
-    return value
+    return jsonio.parse_extended(value, "base")
 
 
-def _parse_alpha(text: str):
-    s = text.strip().lower()
-    if s == "kl":
+def _parse_alpha(value):
+    if isinstance(value, str) and value.strip().lower() == "kl":
         return "kl"
-    if s in ("inf", "infinity"):
-        return math.inf
-    try:
-        return float(text)
-    except ValueError:
-        raise FanoError(f"alpha: expected a number, 'inf' or 'kl', got {text!r}") from None
+    return jsonio.parse_extended(value, "alpha")
 
 
 def _write_output(text: str, out_path: str | None) -> None:
@@ -238,11 +228,7 @@ def _bound_inputs_from_json(obj: dict, args, base: float) -> BoundInputs:
     if obj.get("kind") == "renyi" and "alpha" not in obj and args.alpha is None:
         raise FanoError("alpha: the renyi bound needs an order (in the input "
                         "object or via --alpha)")
-    alpha = obj.get("alpha", "kl")
-    if args.alpha is not None:
-        alpha = _parse_alpha(args.alpha)
-    elif isinstance(alpha, str):
-        alpha = _parse_alpha(alpha)
+    alpha = _parse_alpha(obj.get("alpha", "kl") if args.alpha is None else args.alpha)
     p_min = args.pmin if args.pmin is not None else _number(obj, "p_min")
     p_max = args.pmax if args.pmax is not None else _number(obj, "p_max")
     if p_min is None or p_max is None:
@@ -280,7 +266,7 @@ def _cmd_bound(args) -> int:
             p_obs = _number(obj, "p" if "p" in obj else "observed")
             if p_obs is None:
                 raise FanoError("p: the observed probability is required for check mode")
-            if isinstance(inputs.alpha, str) and inputs.alpha == "kl":
+            if inputs.alpha == "kl":
                 report = _bounds.check_kl_diffusion(p_obs, inputs, args.tolerance)
             else:
                 report = _bounds.check_renyi_diffusion(p_obs, inputs, args.tolerance)
@@ -352,10 +338,7 @@ def main(argv=None) -> int:
     try:
         _thread_cap()
         return args.run(args)
-    except FanoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, TypeError, KeyError) as exc:
+    except (FanoError, ValueError, TypeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

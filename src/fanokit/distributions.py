@@ -19,6 +19,7 @@ from .errors import (
     StateSpaceTooLarge,
     SumNotOne,
 )
+from .jsonio import parse_extended_array
 
 Label = Hashable
 
@@ -319,7 +320,7 @@ def distribution_from_json(obj: dict) -> FiniteDistribution:
     if not isinstance(obj, dict) or "outcomes" not in obj or "weights" not in obj:
         raise SumNotOne('distribution: expected {"outcomes": [...], "weights": [...]}')
     labels = [_label_from_json(x) for x in obj["outcomes"]]
-    return make_distribution(labels, obj["weights"])
+    return make_distribution(labels, parse_extended_array(obj["weights"], "weights"))
 
 
 def joint_from_json(obj: dict) -> JointDistribution:
@@ -328,7 +329,7 @@ def joint_from_json(obj: dict) -> JointDistribution:
             raise SumNotOne('joint: expected {"rows", "cols", "weights"}')
     rows = tuple(_label_from_json(x) for x in obj["rows"])
     cols = tuple(_label_from_json(x) for x in obj["cols"])
-    return JointDistribution(rows, cols, np.array(obj["weights"], dtype=np.float64))
+    return JointDistribution(rows, cols, parse_extended_array(obj["weights"], "weights"))
 
 
 def channel_from_json(obj: dict) -> Channel:
@@ -337,4 +338,4 @@ def channel_from_json(obj: dict) -> Channel:
             raise SumNotOne('channel: expected {"inputs", "outputs", "rows"}')
     ins = tuple(_label_from_json(x) for x in obj["inputs"])
     outs = tuple(_label_from_json(x) for x in obj["outputs"])
-    return Channel(ins, outs, np.array(obj["rows"], dtype=np.float64))
+    return Channel(ins, outs, parse_extended_array(obj["rows"], "rows"))

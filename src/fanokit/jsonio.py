@@ -1,4 +1,4 @@
-"""Deterministic output formatting: JSON, plus the text cells of tables and CSV.
+"""Input numbers, and deterministic output: JSON, and table and CSV cells.
 
 The stock json module prints floats via repr, which is fine for round-trips
 but does not guarantee a fixed significant-digit count, and it emits Infinity
@@ -9,12 +9,17 @@ by contract and raises.
 Output is a pure function of the value tree, which is what makes byte-identical
 CLI output across runs and thread settings cheap to guarantee. Table and CSV
 cells print floats with the same 17 significant digits, bare (inf, 1).
+
+Every input number, in a JSON field or a flag, is read by one rule:
+parse_extended (parse_extended_array in lists; _check_whole for counts).
 """
 from __future__ import annotations
 
 import json
 import math
 from typing import Any
+
+from .errors import FanoError
 
 INDENT = 2
 # what json.dumps returns for a str, without its per-call dispatch
@@ -45,9 +50,9 @@ def format_csv(rows) -> str:
 
 
 def parse_extended(value: Any, name: str) -> float:
-    """The JSON field name's value as a float: a number (not a bool) or one
-    of the string forms produced by format_float. ValueError, naming the
-    field, otherwise."""
+    """The value of the JSON field or flag name as a float: a number (not a
+    bool) or a string that float reads, format_float's "inf" and "-inf"
+    included. ValueError, naming the field, otherwise."""
     if isinstance(value, str):
         s = value.strip().lower()
         if s in ("inf", "+inf", "infinity"):
@@ -61,6 +66,26 @@ def parse_extended(value: Any, name: str) -> float:
     elif isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     raise ValueError("%s: expected a number, got %r" % (name, value))
+
+
+def parse_extended_array(value: Any, name: str):
+    """The JSON field name's number, list or list of lists of numbers, read
+    by parse_extended as floats in the same shape, a row per comprehension."""
+    if not isinstance(value, list):
+        return parse_extended(value, name)
+    return [row if type(row) is float
+            else [v if type(v) is float else parse_extended(v, name) for v in row]
+            if isinstance(row, list) else parse_extended(row, name) for row in value]
+
+
+def _check_whole(value, name: str) -> int:
+    """A whole number given as an int or an integral float."""
+    try:
+        if not isinstance(value, bool) and int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise FanoError(f"{name}: must be a whole number, got {value!r}")
 
 
 def _emit(obj: Any, out: list, level: int) -> None:

@@ -22,6 +22,7 @@ from .errors import (
     UnsupportedMetricForExact,
     ZeroVolumeDomain,
 )
+from .jsonio import parse_extended, parse_extended_array
 
 
 class Relation:
@@ -342,13 +343,13 @@ def relation_from_json(obj: dict) -> Relation:
             entries = obj.get("table")
             if not entries:
                 raise FanoError('relation: metric "table" requires a "table" field')
-            rho = table_metric([(_label_from_json(x), _label_from_json(y), d)
-                                for x, y, d in entries])
+            rho = table_metric([(_label_from_json(x), _label_from_json(y),
+                                 parse_extended(d, "table")) for x, y, d in entries])
         else:
             rho = metric_from_name(metric)
         if "t" not in obj:
             raise FanoError('relation: distance relation requires a radius "t"')
-        return DistanceRelation(rho, float(obj["t"]))
+        return DistanceRelation(rho, parse_extended(obj["t"], "t"))
     if kind == "predicate-table":
         pairs = obj.get("pairs")
         if pairs is None:
@@ -362,7 +363,7 @@ def domain_from_json(obj: dict) -> ContinuousDomain:
     if not isinstance(obj, dict) or "box" not in obj:
         raise FanoError('domain: expected {"box": [[lo, hi], ...], "metric": ..., "t": ...}')
     return ContinuousDomain(
-        box=tuple((float(lo), float(hi)) for lo, hi in obj["box"]),
+        box=parse_extended_array(obj["box"], "box"),
         metric=obj.get("metric", "linf"),
-        t=float(obj.get("t", 0.0)),
+        t=parse_extended(obj.get("t", 0.0), "t"),
     )

@@ -366,14 +366,14 @@ def _block_divergences(p_parts, q_logs, atoms, alphas):
     return out
 
 
-def _divergence_thresholds(level: float, p_events, e_terms, window_terms, alphas) -> np.ndarray:
-    """Per group (order, P(E), window), the divergences within which the
-    scalar kernels' excess p - bound may lie on either side of level, as a
-    (2, order, P(E), window) array of lower and upper ends: below the lower
-    end the excess is above level, beyond the upper end it is not. p_events
-    lists P(E); e_terms and window_terms hold per order (KL first,
-    alphas[0] None) the _event_terms of each P(E) and the _window_terms of
-    each window.
+def _divergence_thresholds(levels, p_events, e_terms, window_terms, alphas) -> np.ndarray:
+    """Per level and group (order, P(E), window), the divergences within
+    which the scalar kernels' excess p - bound may lie on either side of the
+    level, as a (level, 2, order, P(E), window) array of lower and upper
+    ends: below the lower end the excess is above the level, beyond the
+    upper end it is not. p_events lists P(E); e_terms and window_terms hold
+    per order (KL first, alphas[0] None) the _event_terms of each P(E) and
+    the _window_terms of each window.
 
     The ends are a margin either side of the threshold where the exact
     excess equals level (the bound increases with the divergence D). KL is
@@ -396,25 +396,26 @@ def _divergence_thresholds(level: float, p_events, e_terms, window_terms, alphas
     p = np.array(p_events)[:, None]
     h, power_sum = np.moveaxis(np.array(e_terms), -1, 0)[..., None]
     log_keep, log_ratio, den = np.moveaxis(np.array(window_terms), -1, 0)[:, :, None]
-    t, margin = out = np.empty((2,) + np.broadcast_shapes(h.shape, den.shape))
+    level = np.array(levels, dtype=float)[:, None, None, None]
+    t, margin = out = np.empty((2, len(level)) + np.broadcast_shapes(h.shape, den.shape))
     y = p - level
-    np.subtract(y * log_ratio[0] - h[0], log_keep[0], out=t[0])
-    margin[0] = abs(t[0]) + h[0] - log_keep[0] + (abs(y) + abs(level)) * log_ratio[0]
+    np.subtract(y * log_ratio[:1] - h[:1], log_keep[:1], out=t[:, :1])
+    margin[:, :1] = abs(t[:, :1]) + h[:1] - log_keep[:1] + (abs(y) + abs(level)) * log_ratio[:1]
     alpha = np.array(alphas[1:], dtype=float)[:, None, None]
     with np.errstate(all="ignore"):
         y = np.maximum(y, 2.0 ** (-900.0 / np.maximum(alpha, 1.0)))
         z = y ** alpha * den[1:] / power_sum[1:]
         x = np.log1p(z)
         a = x / (alpha - 1.0)
-        np.subtract(a - h[1:], log_keep[1:], out=t[1:])
+        np.subtract(a - h[1:], log_keep[1:], out=t[:, 1:])
         slope = (alpha - 1.0) * (1.0 + 1.0 / z)
-        margin[1:] = (abs(t[1:]) + h[1:] - log_keep[1:] + abs(a)
-                      + (abs(x) + 3.0 + alpha * (2.0 + abs(p - y) / y)) / slope)
+        margin[:, 1:] = (abs(t[:, 1:]) + h[1:] - log_keep[1:] + abs(a)
+                         + (abs(x) + 3.0 + alpha * (2.0 + abs(p - y) / y)) / slope)
         margin *= 2.0 * TRANSCENDENTAL_ULPS * _EPS
         t -= margin
         margin += margin
         margin += t
-    return out
+    return out.swapaxes(0, 1)
 
 
 def _sweep_outcome_count(k: int, d: int, orders, tally: _Tally,
@@ -424,7 +425,7 @@ def _sweep_outcome_count(k: int, d: int, orders, tally: _Tally,
     _event_tables(k, d).
 
     Within a group (order, P(E), window) the excess falls as the divergence
-    grows, so two _divergence_thresholds per group decide the block: at
+    grows, so one _divergence_thresholds call per k decides the block: at
     spec.tolerance, and at a level no higher than the k's maximum excess
     (the running maximum, or an excess the KL kernels return at P = Q in a
     tight window, where the bound is an equality). The scalar kernels
@@ -477,10 +478,8 @@ def _sweep_outcome_count(k: int, d: int, orders, tally: _Tally,
         *window_terms[0][w_d_list[w]][:2]))
     # per (order, group e * len(distinct) + window): a violation below `lows`,
     # none above `highs`, a rescan up to `cuts`
-    lows, highs = _divergence_thresholds(tolerance, p_events, e_terms, window_terms,
-                                         alphas).reshape(2, n_orders, -1)
-    cuts = _divergence_thresholds(level, p_events, e_terms, window_terms,
-                                  alphas)[1].reshape(n_orders, -1)
+    (lows, highs), (_, cuts) = _divergence_thresholds(
+        (tolerance, level), p_events, e_terms, window_terms, alphas).reshape(2, 2, n_orders, -1)
 
     # a block holds `step` whole P rows; a divergence block holds a multiple
     # of `step` rows, about a quarter as many (P, Q, atom) entries as a

@@ -24,6 +24,7 @@ from fanokit import (
     FiniteDistribution,
     MLEstimator,
     MapEstimator,
+    Relation,
     binary_entropy,
     certify,
     compute_beta,
@@ -33,6 +34,7 @@ from fanokit import (
     independent_samples_bound,
     metric_from_name,
     random_experiment,
+    relation_bounds,
     simulate_chain,
     uniform_distribution,
 )
@@ -819,6 +821,27 @@ class TestSamplesBound:
         ids = [r.instance_id for r in certify(noisy_three())]
         assert "samples-mi-per-use" in ids
         assert calls == {"_enumerate": 1, "compute_beta": 1}
+
+    def test_the_samples_bound_reads_the_relation_once_per_pair(self):
+        # the enumeration's relation table also gives the acceptance masses,
+        # so each of the 3 x 3 pairs is read once
+        calls = Counter()
+
+        def counting(x, xhat):
+            calls[x, xhat] += 1
+            return x == xhat
+
+        exp = noisy_three()
+        got = independent_samples_bound(exp.prior, exp.channel, 2, MLEstimator(),
+                                        Relation(counting))
+        assert calls == Counter({pair: 1 for pair in itertools.product(range(3), repeat=2)})
+        candidates = enumerate_chain(
+            dataclasses.replace(exp, n_samples=2)).joint_xxhat.col_outcomes
+        want = independent_samples_bound(
+            exp.prior, exp.channel, 2, MLEstimator(), equality_relation(),
+            bounds=relation_bounds(equality_relation(), exp.prior, candidates))
+        assert (repr(got.bound_value), repr(got.feasible_sup)) == (
+            repr(want.bound_value), repr(want.feasible_sup))
 
 
 # radius 1 on these labels: balls {0, 1}, {0, 1}, {3} and {6}, so every

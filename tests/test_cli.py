@@ -16,6 +16,14 @@ P_JSON = '{"outcomes": [0, 1], "weights": [0.3, 0.7]}'
 Q_JSON = '{"outcomes": [0, 1], "weights": [0.6, 0.4]}'
 
 
+def chain_json(**fields) -> str:
+    """A two-symbol certify experiment, the given fields replaced."""
+    return json.dumps(dict({
+        "prior": {"outcomes": [0, 1], "weights": [0.5, 0.5]},
+        "channel": {"inputs": [0, 1], "outputs": [0, 1], "rows": [[0.9, 0.1], [0.2, 0.8]]},
+        "estimator": {"kind": "ml"}, "relation": {"kind": "equality"}}, **fields))
+
+
 def run_cli(*argv, env_extra=None):
     """Spawn the CLI in a fresh interpreter; returns (exit, stdout, stderr)."""
     env = dict(os.environ)
@@ -127,10 +135,22 @@ class TestBound:
         ("bound", '{"kind": "mi-distance", "mi": 0.1, "size": 8, "ball_max": 2, '
                   '"p_t": true}', "p_t"),
         ("bound", '{"divergence": true, "p_min": 0, "p_max": 0.5, "p": 0.3}', "divergence"),
+        ("bound", '{"kind": "renyi", "alpha": true, "divergence": 0.1, "p_min": 0, '
+                  '"p_max": 0.5, "p": 0.3}', "alpha"),
+        ("divergence", '{"outcomes": [0, 1], "weights": [true, false]}', "weights"),
+        ("certify", chain_json(channel={"inputs": [0, 1], "outputs": [0, 1],
+                                        "rows": [[True, False], [0.5, 0.5]]}), "rows"),
+        ("certify", chain_json(relation={"kind": "distance", "metric": "table", "t": 0.5,
+                                         "table": [[0, 1, True]]}), "table"),
+        ("certify", chain_json(relation={"kind": "distance", "metric": "abs", "t": True}), "t"),
+        ("certify", chain_json(base=True), "base"),
+        ("volume", '{"box": [[0, true]], "metric": "abs", "t": 0.5}', "box"),
+        ("volume", '{"box": [[0, 1]], "metric": "abs", "t": true}', "t"),
     ])
     def test_a_json_bool_is_not_a_number(self, command, body, field, capsys):
-        # float(true) would read it as 1.0
-        assert main([command, body]) == 2
+        # float(true) would read it as 1.0; divergence reads a second
+        # distribution, Q_JSON
+        assert main([command, body] + [Q_JSON] * (command == "divergence")) == 2
         assert capsys.readouterr().err == f"error: {field}: expected a number, got True\n"
 
 

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fanokit.jsonio import INDENT, dumps, format_float, parse_extended
+from fanokit.jsonio import INDENT, dumps, format_float, parse_extended, parse_extended_array
 
 
 def test_integral_floats_keep_a_decimal_point():
@@ -59,6 +59,21 @@ def test_parse_extended_reads_the_same_dialect():
         parse_extended("three", "x")
     with pytest.raises(ValueError, match="^x: expected a number, got True$"):
         parse_extended(True, "x")
+
+
+def test_parse_extended_array_reads_each_number_as_parse_extended_does():
+    rows = parse_extended_array([[0.25, "inf"], [3, "-inf"]], "rows")
+    assert rows == [[0.25, math.inf], [3.0, -math.inf]]
+    assert all(type(v) is float for row in rows for v in row)
+    assert parse_extended_array([0.5, "inf", 1], "weights") == [0.5, math.inf, 1.0]
+    assert parse_extended_array("inf", "t") == math.inf
+
+
+@pytest.mark.parametrize("value", [
+    True, [0.5, False], [[0.5, 0.5], [1, True]], [[True], 0.5], [0.5, [0.5, False]]])
+def test_parse_extended_array_refuses_a_bool_at_any_depth(value):
+    with pytest.raises(ValueError, match="^rows: expected a number, got (True|False)$"):
+        parse_extended_array(value, "rows")
 
 
 def _emit_before_the_fold(obj, out, level):

@@ -647,8 +647,8 @@ def test_the_divergence_thresholds_bracket_the_kernels_excess(group, level, frac
     p_event, window, alpha = group
     alphas = [None] if alpha is None else [None, alpha]
     low, high = verify._divergence_thresholds(
-        level, [p_event], [[_event_terms(p_event, a)] for a in alphas],
-        [[_window_terms(*window, a)] for a in alphas], alphas)[:, -1, 0, 0].tolist()
+        [level], [p_event], [[_event_terms(p_event, a)] for a in alphas],
+        [[_window_terms(*window, a)] for a in alphas], alphas)[0, :, -1, 0, 0].tolist()
     bound = group_bound(*group)
     assert low <= high or math.isnan(low) and math.isnan(high)
     if p_event > level:
